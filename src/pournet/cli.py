@@ -146,8 +146,7 @@ def _cmd_train(args) -> int:
         config = TrainConfig(network=net, epochs=args.epochs, lr=args.lr,
                              batch_size=args.batch_size, seed=args.seed,
                              masked_loss=not args.unmasked_loss,
-                             keep_best_validation=args.keep_best_val,
-                             data_path=args.data)
+                             keep_best_validation=args.keep_best_val)
         params, norm, report = train(dataset, config)
         if args.all_variants:
             model_path = _variant_paths(args.out_model, ".npz", cell, head)

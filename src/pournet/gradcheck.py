@@ -47,19 +47,25 @@ def check_network_gradients(cell_kind, output_activation: str, seed: int,
                             epsilon: float = 1e-5, layer_widths=(3, 3),
                             num_steps: int = 4, batch_size: int = 2,
                             input_width: int = 3) -> float:
-    """Max relative BPTT-vs-finite-difference error for one variant."""
+    """Max relative BPTT-vs-finite-difference error for one variant, over
+    a random batch and over the same lengths under two trailing
+    all-padding steps."""
     config = NetworkConfig(cell_kind=cell_kind, layer_widths=layer_widths,
                            dropout_rate=0.0, dropout_after_layers=(),
                            output_activation=output_activation,
                            input_width=input_width)
     rng = np.random.default_rng(seed)
     batch = random_batch(rng, num_steps, batch_size, input_width)
+    padded = random_batch(rng, num_steps + 2, batch_size, input_width,
+                          lengths=batch.lengths)
     params = init_params(config, seed)
-
-    preds, cache = network_forward(params, config, batch, mode="eval")
-    _, dpred = mse_loss(preds, batch.targets, batch.mask)
-    analytic = network_backward(params, config, cache, dpred, batch.mask)
-    numeric = numerical_gradient(
-        params, config, batch,
-        lambda p: mse_loss(p, batch.targets, batch.mask)[0], epsilon)
-    return max_relative_error(analytic, numeric)
+    worst = 0.0
+    for b in (batch, padded):
+        preds, cache = network_forward(params, config, b, mode="eval")
+        _, dpred = mse_loss(preds, b.targets, b.mask)
+        analytic = network_backward(params, config, cache, dpred, b.mask)
+        numeric = numerical_gradient(
+            params, config, b, lambda p: mse_loss(p, b.targets, b.mask)[0],
+            epsilon)
+        worst = max(worst, max_relative_error(analytic, numeric))
+    return worst

@@ -5,18 +5,29 @@ of recurrent layers with optional inverted dropout after configured
 layers, topped by a width-1 dense head with a sigmoid, linear or tanh
 activation applied at every timestep.
 
-LSTM cell (per timestep):
-    i = sigmoid(W_i x + U_i h_prev + b_i)      input gate
-    f = sigmoid(W_f x + U_f h_prev + b_f)      forget gate
-    g = tanh(W_g x + U_g h_prev + b_g)         cell candidate
-    o = sigmoid(W_o x + U_o h_prev + b_o)      output gate
+A recurrent layer keeps its G gates fused (G = 4 for LSTM, 3 for GRU;
+Appleyard, Kocisky & Blunsom, arXiv 1604.01946): W [in, G*H], U [H, G*H]
+and b [G*H], one column block of width H per gate. The forward pass
+projects x W + b for all timesteps in one GEMM, so each step only adds
+h_prev U; BPTT keeps every step's gate deltas and forms dW, dU, db and dx
+after the time loop with one GEMM or reduction each. Within the loops the
+gates are stacked gate-major, [G, T, B, H], so each gate is one
+contiguous slab. Padding never shares a GEMM with real steps: the
+projection of trailing all-padding steps (t >= lengths.max()) runs on its
+own, and BPTT stops at the last step the loss mask selects.
+
+LSTM cell, column blocks (i, f, o | g):
+    i = sigmoid(x W_i + h_prev U_i + b_i)      input gate
+    f = sigmoid(x W_f + h_prev U_f + b_f)      forget gate
+    o = sigmoid(x W_o + h_prev U_o + b_o)      output gate
+    g = tanh(x W_g + h_prev U_g + b_g)         cell candidate
     c = f * c_prev + i * g
     h = o * tanh(c)
 
-GRU cell (per timestep; note the update-gate convention):
-    z = sigmoid(W_z x + U_z h_prev + b_z)      update gate
-    r = sigmoid(W_r x + U_r h_prev + b_r)      reset gate
-    hc = tanh(W_h x + U_h (r * h_prev) + b_h)  candidate
+GRU cell (note the update-gate convention), column blocks (z, r, h):
+    z = sigmoid(x W_z + h_prev U_z + b_z)      update gate
+    r = sigmoid(x W_r + h_prev U_r + b_r)      reset gate
+    hc = tanh(x W_h + (r * h_prev) U_h + b_h)  candidate
     h = z * h_prev + (1 - z) * hc
 """
 
@@ -38,6 +49,10 @@ from .data import NORMALIZATION_MODES, NormalizationSpec
 class CellKind(Enum):
     LSTM = "lstm"
     GRU = "gru"
+
+    @property
+    def num_gates(self) -> int:
+        return 4 if self is CellKind.LSTM else 3
 
 
 @dataclass(frozen=True)
@@ -78,30 +93,18 @@ class NetworkConfig:
 
 
 @dataclass
-class GateParams:
-    w: np.ndarray  # input weights [hidden, in]
-    u: np.ndarray  # recurrent weights [hidden, hidden]
-    b: np.ndarray  # bias [hidden]
+class LayerParams:
+    """One recurrent layer, gates fused into column blocks of width hidden
+    (LSTM i, f, o, g; GRU z, r, h)."""
 
-
-@dataclass
-class LSTMCellParams:
-    input_gate: GateParams
-    forget_gate: GateParams
-    candidate: GateParams
-    output_gate: GateParams
-
-
-@dataclass
-class GRUCellParams:
-    update_gate: GateParams
-    reset_gate: GateParams
-    candidate: GateParams
+    w: np.ndarray  # input weights [in, gates * hidden]
+    u: np.ndarray  # recurrent weights [hidden, gates * hidden]
+    b: np.ndarray  # bias [gates * hidden]
 
 
 @dataclass
 class NetworkParams:
-    layers: list  # LSTMCellParams or GRUCellParams, bottom to top
+    layers: list  # LayerParams, bottom to top
     w_out: np.ndarray  # dense head weights [1, hidden]
     b_out: np.ndarray  # dense head bias [1]
 
@@ -112,7 +115,7 @@ class ForwardCache:
 
     cell_kind: CellKind
     layer_inputs: list  # per layer, [T, B, in_width] as seen by that layer
-    gates: list  # per layer, dict of gate/state arrays [T, B, hidden]
+    gates: list  # per layer, {"act": [G, T, B, H] activations, LSTM "c": [T, B, H]}
     hidden: list  # per layer, [T, B, hidden]
     dropout_masks: dict  # 1-based layer index -> mask [T, B, hidden]
     head_input: np.ndarray  # [T, B, hidden], after any top dropout
@@ -163,14 +166,13 @@ def zeros_like_params(tree):
 # ---------------------------------------------------------------------------
 # activations
 
-def sigmoid(x):
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(x, out=None):
+    """Logistic function as 0.5 * (1 + tanh(x / 2)): stable for any x,
+    without branches; out may alias x."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out
 
 
@@ -196,10 +198,17 @@ def _orthogonal(rng, n):
     return q * signs
 
 
-def _init_gate(rng, hidden, in_width, bias_value=0.0):
-    return GateParams(w=_glorot(rng, (hidden, in_width)),
-                      u=_orthogonal(rng, hidden),
-                      b=np.full(hidden, bias_value, dtype=np.float64))
+def _init_layer(rng, kind: CellKind, hidden, in_width) -> LayerParams:
+    """Draw each gate's (w, u) pair in the order LSTM i, f, g, o / GRU z, r,
+    h, then fuse the transposed blocks into the layer's column order."""
+    draws = [(_glorot(rng, (hidden, in_width)).T, _orthogonal(rng, hidden).T)
+             for _ in range(kind.num_gates)]
+    b = np.zeros(kind.num_gates * hidden)
+    if kind is CellKind.LSTM:
+        draws = [draws[k] for k in (0, 1, 3, 2)]
+        b[hidden:2 * hidden] = 1.0  # forget gate starts open
+    return LayerParams(w=np.concatenate([w for w, _ in draws], axis=1),
+                       u=np.concatenate([u for _, u in draws], axis=1), b=b)
 
 
 def init_params(config: NetworkConfig, seed: int) -> NetworkParams:
@@ -209,17 +218,7 @@ def init_params(config: NetworkConfig, seed: int) -> NetworkParams:
     layers = []
     in_width = config.input_width
     for hidden in config.layer_widths:
-        if config.cell_kind is CellKind.LSTM:
-            layers.append(LSTMCellParams(
-                input_gate=_init_gate(rng, hidden, in_width),
-                forget_gate=_init_gate(rng, hidden, in_width, bias_value=1.0),
-                candidate=_init_gate(rng, hidden, in_width),
-                output_gate=_init_gate(rng, hidden, in_width)))
-        else:
-            layers.append(GRUCellParams(
-                update_gate=_init_gate(rng, hidden, in_width),
-                reset_gate=_init_gate(rng, hidden, in_width),
-                candidate=_init_gate(rng, hidden, in_width)))
+        layers.append(_init_layer(rng, config.cell_kind, hidden, in_width))
         in_width = hidden
     w_out = _glorot(rng, (1, config.layer_widths[-1]))
     b_out = np.zeros(1, dtype=np.float64)
@@ -228,112 +227,112 @@ def init_params(config: NetworkConfig, seed: int) -> NetworkParams:
 
 def validate_params(params: NetworkParams, config: NetworkConfig) -> None:
     """Raise if the parameter tree does not fit the configuration."""
-    expected_cell = LSTMCellParams if config.cell_kind is CellKind.LSTM else GRUCellParams
     if len(params.layers) != config.num_layers:
         raise ValueError(f"expected {config.num_layers} layers, "
                          f"got {len(params.layers)}")
     in_width = config.input_width
     for idx, (layer, hidden) in enumerate(zip(params.layers, config.layer_widths)):
-        if type(layer) is not expected_cell:
-            raise ValueError(f"layer {idx} is {type(layer).__name__}, "
-                             f"expected {expected_cell.__name__}")
-        for f in dataclasses.fields(layer):
-            gate = getattr(layer, f.name)
-            if gate.w.shape != (hidden, in_width) or gate.u.shape != (hidden, hidden) \
-                    or gate.b.shape != (hidden,):
-                raise ValueError(f"layer {idx} gate {f.name} has inconsistent shapes")
+        width = config.cell_kind.num_gates * hidden
+        if not isinstance(layer, LayerParams) or layer.w.shape != (in_width, width) \
+                or layer.u.shape != (hidden, width) or layer.b.shape != (width,):
+            raise ValueError(f"layer {idx} does not hold {config.cell_kind.value} "
+                             f"weights of width {hidden} over {in_width} inputs")
         in_width = hidden
     if params.w_out.shape != (1, config.layer_widths[-1]) or params.b_out.shape != (1,):
         raise ValueError("dense head shapes do not match the configuration")
 
 
 # ---------------------------------------------------------------------------
-# cell forward
+# cells: a step takes a = x W + b as [G, B, H], adds h_prev U and leaves the
+# gate activations in a; the layer loops and the one-step functions share it
 
-def _gate_pre(gate: GateParams, x, h_prev):
-    return x @ gate.w.T + h_prev @ gate.u.T + gate.b
-
-
-def _lstm_gates(p: LSTMCellParams, x, h_prev):
-    i = sigmoid(_gate_pre(p.input_gate, x, h_prev))
-    f = sigmoid(_gate_pre(p.forget_gate, x, h_prev))
-    g = np.tanh(_gate_pre(p.candidate, x, h_prev))
-    o = sigmoid(_gate_pre(p.output_gate, x, h_prev))
-    return i, f, g, o
+def _by_gate(a, hidden):
+    """[G, rows, hidden] view of a fused [rows, G * hidden] array."""
+    return a.reshape(a.shape[0], -1, hidden).transpose(1, 0, 2)
 
 
-def _check_cell_shapes(p, x, states):
-    in_width = p.candidate.w.shape[1]
-    hidden = p.candidate.w.shape[0]
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != in_width:
-        raise ValueError(f"x must be [batch, {in_width}], got {x.shape}")
-    out = [x]
-    for name, s in states:
-        s = np.asarray(s, dtype=np.float64)
-        if s.shape != (x.shape[0], hidden):
-            raise ValueError(f"{name} must be [batch, {hidden}], got {s.shape}")
-        out.append(s)
-    return out
-
-
-def lstm_cell_forward(p: LSTMCellParams, x, h_prev, c_prev):
-    """One LSTM timestep over a batch; returns (h, c)."""
-    x, h_prev, c_prev = _check_cell_shapes(
-        p, x, [("h_prev", h_prev), ("c_prev", c_prev)])
-    i, f, g, o = _lstm_gates(p, x, h_prev)
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
+def _lstm_step(u3, a, h_prev, c_prev, h, c):
+    a += np.matmul(h_prev, u3)
+    sigmoid(a[:3], out=a[:3])
+    np.tanh(a[3], out=a[3])
+    i, f, o, g = a[0], a[1], a[2], a[3]
+    np.multiply(f, c_prev, out=c)
+    c += i * g
+    np.tanh(c, out=h)
+    h *= o
     return h, c
 
 
-def gru_cell_forward(p: GRUCellParams, x, h_prev):
+def _gru_step(u3, a, h_prev, h):
+    zr, hc = a[:2], a[2]
+    zr += np.matmul(h_prev, u3[:2])
+    sigmoid(zr, out=zr)
+    z, r = a[0], a[1]
+    hc += (r * h_prev) @ u3[2]
+    np.tanh(hc, out=hc)
+    np.multiply(z, h_prev, out=h)
+    h += (1.0 - z) * hc
+    return h
+
+
+def _cell_inputs(p: LayerParams, kind: CellKind, x, *states):
+    """Check one step's inputs; returns (U by gate, x W + b by gate, *states)."""
+    in_width, hidden = p.w.shape[0], p.u.shape[0]
+    if p.u.shape[1] != kind.num_gates * hidden:
+        raise ValueError(f"parameters do not hold a {kind.value} layer")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != in_width:
+        raise ValueError(f"x must be [batch, {in_width}], got {x.shape}")
+    states = [np.asarray(s, dtype=np.float64) for s in states]
+    for name, s in zip(("h_prev", "c_prev"), states):
+        if s.shape != (x.shape[0], hidden):
+            raise ValueError(f"{name} must be [batch, {hidden}], got {s.shape}")
+    return (_by_gate(p.u, hidden), _by_gate(x @ p.w + p.b, hidden), *states)
+
+
+def lstm_cell_forward(p: LayerParams, x, h_prev, c_prev):
+    """One LSTM timestep over a batch; returns (h, c)."""
+    u3, a, h_prev, c_prev = _cell_inputs(p, CellKind.LSTM, x, h_prev, c_prev)
+    return _lstm_step(u3, a, h_prev, c_prev,
+                      np.empty_like(h_prev), np.empty_like(c_prev))
+
+
+def gru_cell_forward(p: LayerParams, x, h_prev):
     """One GRU timestep over a batch; returns h."""
-    x, h_prev = _check_cell_shapes(p, x, [("h_prev", h_prev)])
-    z = sigmoid(_gate_pre(p.update_gate, x, h_prev))
-    r = sigmoid(_gate_pre(p.reset_gate, x, h_prev))
-    hc = np.tanh(x @ p.candidate.w.T + (r * h_prev) @ p.candidate.u.T
-                 + p.candidate.b)
-    return z * h_prev + (1.0 - z) * hc
+    u3, a, h_prev = _cell_inputs(p, CellKind.GRU, x, h_prev)
+    return _gru_step(u3, a, h_prev, np.empty_like(h_prev))
 
 
 # ---------------------------------------------------------------------------
 # network forward
 
-def _forward_lstm_layer(p, x_seq):
-    t_max, batch = x_seq.shape[:2]
-    hidden = p.candidate.w.shape[0]
-    store = {name: np.empty((t_max, batch, hidden)) for name in
-             ("i", "f", "g", "o", "c", "tanh_c")}
+def _forward_layer(kind: CellKind, p: LayerParams, x_seq, t_real):
+    """Run one layer over [T, B, in]; returns (h_seq, cache entry).
+
+    x W + b is one GEMM over the steps before t_real and one over the
+    all-padding steps after it; the step loop turns it into the gate
+    activations [G, T, B, H] in place.
+    """
+    t_max, batch, in_width = x_seq.shape
+    hidden = p.u.shape[0]
+    act = np.empty((kind.num_gates, t_max, batch, hidden))
+    for lo, hi in ((0, t_real), (t_real, t_max)):
+        if hi > lo:
+            proj = x_seq[lo:hi].reshape(-1, in_width) @ p.w
+            act[:, lo:hi] = _by_gate(proj, hidden).reshape(act[:, lo:hi].shape)
+    act += p.b.reshape(-1, 1, 1, hidden)
+    u3 = _by_gate(p.u, hidden)
     h_seq = np.empty((t_max, batch, hidden))
     h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    for t in range(t_max):
-        i, f, g, o = _lstm_gates(p, x_seq[t], h)
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        store["i"][t], store["f"][t], store["g"][t], store["o"][t] = i, f, g, o
-        store["c"][t], store["tanh_c"][t] = c, tc
-        h_seq[t] = h
-    return h_seq, store
-
-
-def _forward_gru_layer(p, x_seq):
-    t_max, batch = x_seq.shape[:2]
-    hidden = p.candidate.w.shape[0]
-    store = {name: np.empty((t_max, batch, hidden)) for name in ("z", "r", "hc")}
-    h_seq = np.empty((t_max, batch, hidden))
-    h = np.zeros((batch, hidden))
-    for t in range(t_max):
-        x = x_seq[t]
-        z = sigmoid(_gate_pre(p.update_gate, x, h))
-        r = sigmoid(_gate_pre(p.reset_gate, x, h))
-        hc = np.tanh(x @ p.candidate.w.T + (r * h) @ p.candidate.u.T
-                     + p.candidate.b)
-        h = z * h + (1.0 - z) * hc
-        store["z"][t], store["r"][t], store["hc"][t] = z, r, hc
-        h_seq[t] = h
+    store = {"act": act}
+    if kind is CellKind.LSTM:
+        c_seq = store["c"] = np.empty((t_max, batch, hidden))
+        c = np.zeros((batch, hidden))
+        for t in range(t_max):
+            h, c = _lstm_step(u3, act[:, t], h, c, h_seq[t], c_seq[t])
+    else:
+        for t in range(t_max):
+            h = _gru_step(u3, act[:, t], h, h_seq[t])
     return h_seq, store
 
 
@@ -363,14 +362,12 @@ def network_forward(params: NetworkParams, config: NetworkConfig, batch,
         streams = dict(zip(config.dropout_after_layers, children))
 
     x_seq = np.asarray(batch.inputs, dtype=np.float64)
+    t_real = int(np.max(batch.lengths))
     layer_inputs, gates, hidden = [], [], []
     dropout_masks = {}
     for idx, layer in enumerate(params.layers, start=1):
         layer_inputs.append(x_seq)
-        if config.cell_kind is CellKind.LSTM:
-            h_seq, store = _forward_lstm_layer(layer, x_seq)
-        else:
-            h_seq, store = _forward_gru_layer(layer, x_seq)
+        h_seq, store = _forward_layer(config.cell_kind, layer, x_seq, t_real)
         gates.append(store)
         hidden.append(h_seq)
         x_seq = h_seq
@@ -395,128 +392,131 @@ def network_forward(params: NetworkParams, config: NetworkConfig, batch,
 
 def network_backward(params: NetworkParams, config: NetworkConfig,
                      cache: ForwardCache, dloss_dpred, mask) -> NetworkParams:
-    """Exact gradients of the masked loss w.r.t. every parameter."""
+    """Exact gradients of the masked loss w.r.t. every parameter.
+
+    Steps after the last one the mask selects carry exactly zero
+    gradient, so every sum over time stops there.
+    """
     validate_params(params, config)
     if cache.cell_kind is not config.cell_kind:
         raise ValueError("cache was produced with a different cell kind")
     if len(cache.hidden) != config.num_layers:
         raise ValueError("cache layer count does not match the configuration")
     dloss_dpred = np.asarray(dloss_dpred, dtype=np.float64)
-    if dloss_dpred.shape != cache.predictions.shape:
-        raise ValueError("dloss_dpred shape does not match the predictions")
-    dpred = dloss_dpred * np.asarray(mask, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    if dloss_dpred.shape != cache.predictions.shape or mask.shape != dloss_dpred.shape:
+        raise ValueError("dloss_dpred and mask must match the predictions")
+    selected = np.flatnonzero(mask.any(axis=1))
+    if selected.size == 0:
+        return zeros_like_params(params)
+    t_real = int(selected[-1]) + 1
 
-    pred = cache.predictions
+    dpred = dloss_dpred[:t_real] * mask[:t_real]
+    pred = cache.predictions[:t_real]
     if config.output_activation == "sigmoid":
         dz = dpred * pred * (1.0 - pred)
     elif config.output_activation == "tanh":
         dz = dpred * (1.0 - pred * pred)
     else:
         dz = dpred
-    # accumulate per timestep so padded steps only ever add exact zeros
-    dw_out = np.zeros((1, config.layer_widths[-1]))
-    db_sum = 0.0
-    for t in range(dz.shape[0]):
-        dw_out[0] += dz[t] @ cache.head_input[t]
-        db_sum += float(np.sum(dz[t]))
-    db_out = np.array([db_sum])
+    head_input = cache.head_input[:t_real]
+    dw_out = dz.reshape(1, -1) @ head_input.reshape(-1, head_input.shape[2])
+    db_out = np.array([np.sum(dz)])
     dh_above = dz[:, :, None] * params.w_out[0]
 
+    bptt = _bptt_lstm if config.cell_kind is CellKind.LSTM else _bptt_gru
     layer_grads = [None] * config.num_layers
     for idx in range(config.num_layers, 0, -1):
-        dh_seq = dh_above
         if idx in cache.dropout_masks:
-            dh_seq = dh_seq * cache.dropout_masks[idx]
-        layer = params.layers[idx - 1]
-        x_seq = cache.layer_inputs[idx - 1]
-        h_seq = cache.hidden[idx - 1]
-        store = cache.gates[idx - 1]
-        if config.cell_kind is CellKind.LSTM:
-            grads, dh_above = _bptt_lstm(layer, x_seq, h_seq, store, dh_seq)
-        else:
-            grads, dh_above = _bptt_gru(layer, x_seq, h_seq, store, dh_seq)
-        layer_grads[idx - 1] = grads
+            dh_above = dh_above * cache.dropout_masks[idx][:t_real]
+        layer_grads[idx - 1], dh_above = bptt(
+            params.layers[idx - 1], cache.gates[idx - 1],
+            cache.layer_inputs[idx - 1][:t_real], cache.hidden[idx - 1][:t_real],
+            dh_above, need_dx=idx > 1)
     return NetworkParams(layers=layer_grads, w_out=dw_out, b_out=db_out)
 
 
-def _bptt_lstm(p, x_seq, h_seq, store, dh_seq):
-    t_max, batch, hidden = dh_seq.shape
-    grads = tree_map(np.zeros_like, p)
-    dx_seq = np.zeros_like(x_seq)
-    dh_rec = np.zeros((batch, hidden))
-    dc_rec = np.zeros((batch, hidden))
-    zeros = np.zeros((batch, hidden))
-    gate_list = ((p.input_gate, grads.input_gate),
-                 (p.forget_gate, grads.forget_gate),
-                 (p.candidate, grads.candidate),
-                 (p.output_gate, grads.output_gate))
-    for t in range(t_max - 1, -1, -1):
-        i, f, g, o = store["i"][t], store["f"][t], store["g"][t], store["o"][t]
-        tc = store["tanh_c"][t]
-        c_prev = store["c"][t - 1] if t > 0 else zeros
-        h_prev = h_seq[t - 1] if t > 0 else zeros
-        x = x_seq[t]
+def _previous(seq):
+    """seq shifted one step later in time, zeros at t = 0."""
+    return np.concatenate([np.zeros_like(seq[:1]), seq[:-1]])
 
+
+def _layer_grads(p: LayerParams, x_seq, d2, du, need_dx):
+    """Gradients of one layer and of its input from the gate deltas in
+    fused row layout [T * B, G * H], with one GEMM or reduction each."""
+    grads = LayerParams(w=x_seq.reshape(-1, x_seq.shape[2]).T @ d2, u=du,
+                        b=d2.sum(axis=0))
+    dx = (d2 @ p.w.T).reshape(x_seq.shape) if need_dx else None
+    return grads, dx
+
+
+def _fused_rows(delta):
+    """Gate-major deltas [G, T, B, H] as fused rows [T * B, G * H]."""
+    gates, _, _, hidden = delta.shape
+    return delta.transpose(1, 2, 0, 3).reshape(-1, gates * hidden)
+
+
+def _bptt_lstm(p: LayerParams, store, x_seq, h_seq, dh_seq, need_dx):
+    """BPTT through one LSTM layer over the T steps of dh_seq; returns
+    (layer gradients, input gradient or None)."""
+    t_real, batch, n = dh_seq.shape
+    act = store["act"][:, :t_real]
+    i, f, o, g = act[0], act[1], act[2], act[3]
+    c_seq = store["c"][:t_real]
+    tc = np.tanh(c_seq)
+    # delta holds each gate's local derivative until step t scales it by
+    # dc (i, f, g) or dh (o)
+    delta = np.empty_like(act)
+    delta[0] = g * i * (1.0 - i)
+    delta[1] = _previous(c_seq) * f * (1.0 - f)
+    delta[2] = tc * o * (1.0 - o)
+    delta[3] = i * (1.0 - g * g)
+    dc_dh = o * (1.0 - tc * tc)
+    u3t = _by_gate(p.u, n).transpose(0, 2, 1)
+    dh_rec = np.zeros((batch, n))
+    dc_rec = np.zeros((batch, n))
+    for t in range(t_real - 1, -1, -1):
         dh = dh_seq[t] + dh_rec
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_rec
-        df = dc * c_prev
-        di = dc * g
-        dg = dc * i
-        dc_rec = dc * f
-
-        deltas = (di * i * (1.0 - i), df * f * (1.0 - f),
-                  dg * (1.0 - g * g), do * o * (1.0 - o))
-        dx = np.zeros_like(x)
-        dh_rec = np.zeros((batch, hidden))
-        for (gate, gate_grads), da in zip(gate_list, deltas):
-            gate_grads.w += da.T @ x
-            gate_grads.u += da.T @ h_prev
-            gate_grads.b += da.sum(axis=0)
-            dx += da @ gate.w
-            dh_rec += da @ gate.u
-        dx_seq[t] = dx
-    return grads, dx_seq
+        dc = dh * dc_dh[t]
+        dc += dc_rec
+        d = delta[:, t]
+        np.multiply(d[:2], dc, out=d[:2])
+        np.multiply(d[2], dh, out=d[2])
+        np.multiply(d[3], dc, out=d[3])
+        dc_rec = dc * f[t]
+        dh_rec = np.matmul(d, u3t).sum(axis=0)
+    d2 = _fused_rows(delta)
+    du = h_seq[:-1].reshape(-1, n).T @ d2[batch:]
+    return _layer_grads(p, x_seq, d2, du, need_dx)
 
 
-def _bptt_gru(p, x_seq, h_seq, store, dh_seq):
-    t_max, batch, hidden = dh_seq.shape
-    grads = tree_map(np.zeros_like, p)
-    dx_seq = np.zeros_like(x_seq)
-    dh_rec = np.zeros((batch, hidden))
-    zeros = np.zeros((batch, hidden))
-    for t in range(t_max - 1, -1, -1):
-        z, r, hc = store["z"][t], store["r"][t], store["hc"][t]
-        h_prev = h_seq[t - 1] if t > 0 else zeros
-        x = x_seq[t]
-
+def _bptt_gru(p: LayerParams, store, x_seq, h_seq, dh_seq, need_dx):
+    """BPTT through one GRU layer over the T steps of dh_seq; returns
+    (layer gradients, input gradient or None)."""
+    t_real, batch, n = dh_seq.shape
+    act = store["act"][:, :t_real]
+    z, r, hc = act[0], act[1], act[2]
+    h_prev = _previous(h_seq)
+    # local derivatives until step t scales them by dh (z, h) or d(r*h) (r)
+    delta = np.empty_like(act)
+    delta[0] = (h_prev - hc) * z * (1.0 - z)
+    delta[1] = h_prev * r * (1.0 - r)
+    delta[2] = (1.0 - z) * (1.0 - hc * hc)
+    u3t = _by_gate(p.u, n).transpose(0, 2, 1)
+    dh_rec = np.zeros((batch, n))
+    for t in range(t_real - 1, -1, -1):
         dh = dh_seq[t] + dh_rec
-        dz = dh * (h_prev - hc)
-        dhc = dh * (1.0 - z)
-        dh_prev = dh * z
-
-        da_h = dhc * (1.0 - hc * hc)
-        rh = r * h_prev
-        grads.candidate.w += da_h.T @ x
-        grads.candidate.u += da_h.T @ rh
-        grads.candidate.b += da_h.sum(axis=0)
-        drh = da_h @ p.candidate.u
-        dr = drh * h_prev
-        dh_prev = dh_prev + drh * r
-
-        da_z = dz * z * (1.0 - z)
-        da_r = dr * r * (1.0 - r)
-        grads.update_gate.w += da_z.T @ x
-        grads.update_gate.u += da_z.T @ h_prev
-        grads.update_gate.b += da_z.sum(axis=0)
-        grads.reset_gate.w += da_r.T @ x
-        grads.reset_gate.u += da_r.T @ h_prev
-        grads.reset_gate.b += da_r.sum(axis=0)
-
-        dh_rec = dh_prev + da_z @ p.update_gate.u + da_r @ p.reset_gate.u
-        dx_seq[t] = da_z @ p.update_gate.w + da_r @ p.reset_gate.w \
-            + da_h @ p.candidate.w
-    return grads, dx_seq
+        d = delta[:, t]
+        np.multiply(d[::2], dh, out=d[::2])
+        drh = d[2] @ u3t[2]
+        np.multiply(d[1], drh, out=d[1])
+        dh_rec = np.matmul(d[:2], u3t[:2]).sum(axis=0)
+        dh_rec += dh * z[t]
+        dh_rec += drh * r[t]
+    d2 = _fused_rows(delta)
+    du = np.concatenate([h_prev.reshape(-1, n).T @ d2[:, :2 * n],
+                         (r * h_prev).reshape(-1, n).T @ d2[:, 2 * n:]], axis=1)
+    return _layer_grads(p, x_seq, d2, du, need_dx)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +551,7 @@ def numerical_gradient(params: NetworkParams, config: NetworkConfig, batch,
 # checkpoints
 
 _CHECKPOINT_META = "meta.json"
+_CHECKPOINT_FORMAT = "pournet-checkpoint-v2"
 
 
 def save_checkpoint(path, params: NetworkParams, config: NetworkConfig,
@@ -558,10 +559,11 @@ def save_checkpoint(path, params: NetworkParams, config: NetworkConfig,
     """Write a deterministic npz-compatible checkpoint.
 
     The container is a stored (uncompressed) zip with fixed entry
-    timestamps so identical inputs produce byte-identical files.
+    timestamps so identical inputs produce byte-identical files. Layer i
+    is stored fused, as layers[i].w, layers[i].u and layers[i].b.
     """
     meta = {
-        "format": "pournet-checkpoint-v1",
+        "format": _CHECKPOINT_FORMAT,
         "cell_kind": config.cell_kind.value,
         "layer_widths": list(config.layer_widths),
         "dropout_rate": config.dropout_rate,
@@ -587,7 +589,11 @@ def save_checkpoint(path, params: NetworkParams, config: NetworkConfig,
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, config, normalization spec)."""
+    """Read a checkpoint; returns (params, config, normalization spec).
+
+    Raises ValueError naming the file for another format or a missing
+    metadata key or array.
+    """
     with zipfile.ZipFile(path, "r") as zf:
         meta = json.loads(zf.read(_CHECKPOINT_META).decode("utf-8"))
         arrays = {}
@@ -595,43 +601,32 @@ def load_checkpoint(path):
             if name.endswith(".npy"):
                 arrays[name[:-4]] = _npy_format.read_array(
                     io.BytesIO(zf.read(name)))
-    config = NetworkConfig(cell_kind=meta["cell_kind"],
-                           layer_widths=tuple(meta["layer_widths"]),
-                           dropout_rate=meta["dropout_rate"],
-                           dropout_after_layers=tuple(meta["dropout_after_layers"]),
-                           output_activation=meta["output_activation"],
-                           input_width=meta["input_width"],
-                           output_width=meta["output_width"])
-    norm = NormalizationSpec(mode=meta["norm_mode"],
-                             target_min=meta["norm_target_min"],
-                             target_max=meta["norm_target_max"],
-                             input_mean=arrays["norm_input_mean"],
-                             input_std=arrays["norm_input_std"])
+    found = meta.get("format") if isinstance(meta, dict) else None
+    if found != _CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: checkpoint format {found!r} is not "
+                         f"{_CHECKPOINT_FORMAT!r}")
+    entries = {**arrays, **meta}
 
-    def gate(prefix):
-        try:
-            return GateParams(w=arrays[f"{prefix}.w"], u=arrays[f"{prefix}.u"],
-                              b=arrays[f"{prefix}.b"])
-        except KeyError as exc:
-            raise ValueError(f"checkpoint is missing array {exc.args[0]!r}") from exc
+    def need(key):
+        if key not in entries:
+            raise ValueError(f"{path}: checkpoint is missing {key!r}")
+        return entries[key]
 
-    layers = []
-    for i in range(config.num_layers):
-        base = f"layers[{i}]"
-        if config.cell_kind is CellKind.LSTM:
-            layers.append(LSTMCellParams(input_gate=gate(f"{base}.input_gate"),
-                                         forget_gate=gate(f"{base}.forget_gate"),
-                                         candidate=gate(f"{base}.candidate"),
-                                         output_gate=gate(f"{base}.output_gate")))
-        else:
-            layers.append(GRUCellParams(update_gate=gate(f"{base}.update_gate"),
-                                        reset_gate=gate(f"{base}.reset_gate"),
-                                        candidate=gate(f"{base}.candidate")))
-    try:
-        params = NetworkParams(layers=layers, w_out=arrays["w_out"],
-                               b_out=arrays["b_out"])
-    except KeyError as exc:
-        raise ValueError(f"checkpoint is missing array {exc.args[0]!r}") from exc
+    config = NetworkConfig(cell_kind=need("cell_kind"),
+                           layer_widths=tuple(need("layer_widths")),
+                           dropout_rate=need("dropout_rate"),
+                           dropout_after_layers=tuple(need("dropout_after_layers")),
+                           output_activation=need("output_activation"),
+                           input_width=need("input_width"),
+                           output_width=need("output_width"))
+    norm = NormalizationSpec(mode=need("norm_mode"),
+                             target_min=need("norm_target_min"),
+                             target_max=need("norm_target_max"),
+                             input_mean=need("norm_input_mean"),
+                             input_std=need("norm_input_std"))
+    layers = [LayerParams(*(need(f"layers[{i}].{k}") for k in "wub"))
+              for i in range(config.num_layers)]
+    params = NetworkParams(layers=layers, w_out=need("w_out"), b_out=need("b_out"))
     validate_params(params, config)
     for path_name, leaf in tree_leaves(params):
         if not np.isfinite(leaf).all():

@@ -6,7 +6,7 @@ sequencing of optimizer steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,6 +78,4 @@ def adam_step(state: AdamState, params, grads):
     params_new = tree_map(
         lambda p, m, v: p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps),
         params, m_new, v_new)
-    new_state = AdamState(m=m_new, v=v_new, t=t_new, lr=lr, beta1=b1,
-                          beta2=b2, eps=eps)
-    return new_state, params_new
+    return replace(state, m=m_new, v=v_new, t=t_new), params_new

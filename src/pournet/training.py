@@ -15,8 +15,8 @@ import numpy as np
 
 from .data import fit_normalization, pad_and_batch, split_dataset
 from .network import (NetworkConfig, network_backward, network_forward,
-                      init_params, tree_leaves, tree_map)
-from .optim import adam_step, init_adam, mse_loss
+                      init_params, tree_map)
+from .optim import NonFiniteGradientError, adam_step, init_adam, mse_loss
 
 
 class TrainingDivergedError(RuntimeError):
@@ -38,7 +38,6 @@ class TrainConfig:
     seed: int = 0
     masked_loss: bool = True  # off = padding counts toward the loss
     keep_best_validation: bool = False
-    data_path: str | None = None  # CLI convenience; train() takes sequences
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -114,11 +113,10 @@ def train(dataset, config: TrainConfig):
                 raise TrainingDivergedError(
                     epoch, f"non-finite training loss in epoch {epoch}")
             grads = network_backward(params, config.network, cache, dpred, mask)
-            for path, g in tree_leaves(grads):
-                if not np.isfinite(g).all():
-                    raise TrainingDivergedError(
-                        epoch, f"non-finite gradient at {path} in epoch {epoch}")
-            adam, params = adam_step(adam, params, grads)
+            try:
+                adam, params = adam_step(adam, params, grads)
+            except NonFiniteGradientError as exc:
+                raise TrainingDivergedError(epoch, f"{exc} in epoch {epoch}") from exc
             n_real = float(mask.sum())
             weighted_sum += loss * n_real
             weight += n_real

@@ -1,8 +1,14 @@
 """End-to-end command-line workflow in temporary directories."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pournet
 from pournet.cli import run
 from pournet.data import load_dataset
 from pournet.network import load_checkpoint
@@ -89,6 +95,34 @@ class TestTrain:
             assert code == 0
             outs.append((model.read_bytes(), losses.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_outputs_independent_of_blas_thread_count(self, tmp_path):
+        """Training in fresh processes pinned to 1 and to 2 BLAS threads
+        writes byte-identical checkpoint and loss files. With batches of
+        32 sequences of 20-50 steps, OpenBLAS runs the weight- and
+        input-gradient GEMMs on both threads."""
+        src_dir = Path(pournet.__file__).resolve().parents[1]
+        data = tmp_path / "data.jsonl"
+        assert run(["synth", "--n", "60", "--seed", "8", "--noise", "0.01",
+                    "--out", str(data)]) == 0
+        outs = []
+        for threads in ("1", "2"):
+            model = tmp_path / f"t{threads}.npz"
+            losses = tmp_path / f"t{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [str(src_dir),
+                                         os.environ.get("PYTHONPATH")])))
+            subprocess.run(
+                [sys.executable, "-m", "pournet.cli", "train", "--data",
+                 str(data), "--cell", "lstm", "--head", "sigmoid",
+                 "--epochs", "2", "--seed", "5", "--out-model", str(model),
+                 "--out-losses", str(losses)],
+                env=env, check=True, capture_output=True, timeout=300)
+            outs.append((model.read_bytes(), losses.read_bytes()))
+        assert outs[0][0] == outs[1][0], "checkpoints differ"
+        assert outs[0][1] == outs[1][1], "loss files differ"
 
 
 class TestPredictAndEval:

@@ -1,6 +1,7 @@
 """Recurrent core: cells, stacked forward, BPTT, dropout, checkpoints."""
 
-import dataclasses
+import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -15,6 +16,16 @@ from pournet.network import (CellKind, ForwardCache,
                              numerical_gradient, save_checkpoint, sigmoid,
                              tree_leaves, tree_map, zeros_like_params)
 from pournet.optim import mse_loss
+
+
+# column blocks of the fused gate arrays
+LSTM_I, LSTM_F, LSTM_O, LSTM_G = range(4)
+GRU_Z, GRU_R, GRU_H = range(3)
+
+
+def block(a, k, hidden):
+    """View of gate k's column block in a fused [..., G*hidden] array."""
+    return a[..., k * hidden:(k + 1) * hidden]
 
 
 def trees_equal(a, b):
@@ -74,25 +85,39 @@ class TestInitParams:
         config = NetworkConfig(cell_kind="lstm")
         params = init_params(config, 0)
         first = params.layers[0]
-        for f in dataclasses.fields(first):
-            gate = getattr(first, f.name)
-            assert gate.w.shape == (16, 9)
-            assert gate.u.shape == (16, 16)
-            assert gate.b.shape == (16,)
+        assert first.w.shape == (9, 4 * 16)
+        assert first.u.shape == (16, 4 * 16)
+        assert first.b.shape == (4 * 16,)
 
     def test_forget_bias_is_one(self):
         params = init_params(NetworkConfig(cell_kind="lstm"), 2)
         for layer in params.layers:
-            assert np.all(layer.forget_gate.b == 1.0)
-            assert np.all(layer.input_gate.b == 0.0)
-            assert np.all(layer.candidate.b == 0.0)
-            assert np.all(layer.output_gate.b == 0.0)
+            assert np.all(block(layer.b, LSTM_F, 16) == 1.0)
+            assert np.all(block(layer.b, LSTM_I, 16) == 0.0)
+            assert np.all(block(layer.b, LSTM_G, 16) == 0.0)
+            assert np.all(block(layer.b, LSTM_O, 16) == 0.0)
+
+    def test_gates_drawn_in_per_gate_order(self):
+        """Each gate's (w, u) pair is drawn in turn, LSTM i, f, g, o, and
+        stored transposed in the fused column order i, f, o, g."""
+        config = NetworkConfig(cell_kind="lstm", layer_widths=(3,),
+                               dropout_rate=0.0, dropout_after_layers=(),
+                               input_width=2)
+        layer = init_params(config, 9).layers[0]
+        rng = np.random.default_rng(9)
+        limit = np.sqrt(6.0 / (3 + 2))
+        for k in (LSTM_I, LSTM_F, LSTM_G, LSTM_O):
+            w = rng.uniform(-limit, limit, size=(3, 2))
+            q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+            assert np.array_equal(block(layer.w, k, 3), w.T)
+            assert np.array_equal(block(layer.u, k, 3),
+                                  (q * np.sign(np.diag(r))).T)
 
     def test_recurrent_weights_orthogonal(self):
         params = init_params(NetworkConfig(cell_kind="gru"), 3)
         for layer in params.layers:
-            for f in dataclasses.fields(layer):
-                u = getattr(layer, f.name).u
+            for k in (GRU_Z, GRU_R, GRU_H):
+                u = block(layer.u, k, 16)
                 assert np.allclose(u @ u.T, np.eye(u.shape[0]), atol=1e-10)
 
     def test_input_weights_within_glorot_bound(self):
@@ -100,7 +125,7 @@ class TestInitParams:
                                dropout_after_layers=(2,), input_width=4)
         params = init_params(config, 1)
         limit = np.sqrt(6.0 / (8 + 4))
-        assert np.all(np.abs(params.layers[0].update_gate.w) <= limit)
+        assert np.all(np.abs(block(params.layers[0].w, GRU_Z, 8)) <= limit)
 
 
 class TestSigmoid:
@@ -128,8 +153,8 @@ class TestLSTMCell:
 
     def test_forget_open_input_shut_preserves_cell(self):
         p = zero_lstm_params(4, 3)
-        p.forget_gate.b[:] = 10.0
-        p.input_gate.b[:] = -10.0
+        block(p.b, LSTM_F, 4)[:] = 10.0
+        block(p.b, LSTM_I, 4)[:] = -10.0
         rng = np.random.default_rng(1)
         x = rng.standard_normal((5, 3))
         c_prev = rng.uniform(-1.0, 1.0, size=(5, 4))
@@ -143,10 +168,10 @@ class TestLSTMCell:
         params = init_params(config, 5)
         batch = random_batch(np.random.default_rng(5), 6, 3, 3)
         _, cache = network_forward(params, config, batch, mode="eval")
-        store = cache.gates[0]
-        for name in ("i", "f", "o"):
-            assert np.all(store[name] > 0.0) and np.all(store[name] < 1.0)
-        assert np.all(store["g"] > -1.0) and np.all(store["g"] < 1.0)
+        act = cache.gates[0]["act"]
+        for k in (LSTM_I, LSTM_F, LSTM_O):
+            assert np.all(act[k] > 0.0) and np.all(act[k] < 1.0)
+        assert np.all(act[LSTM_G] > -1.0) and np.all(act[LSTM_G] < 1.0)
 
     def test_shape_mismatch_rejected(self):
         p = zero_lstm_params(4, 3)
@@ -172,7 +197,7 @@ class TestGRUCell:
 
     def test_open_update_gate_preserves_state(self):
         p = zero_gru_params(4, 3)
-        p.update_gate.b[:] = 10.0
+        block(p.b, GRU_Z, 4)[:] = 10.0
         rng = np.random.default_rng(2)
         h_prev = rng.uniform(-1.0, 1.0, size=(5, 4))
         h = gru_cell_forward(p, rng.standard_normal((5, 3)), h_prev)
@@ -215,6 +240,29 @@ class TestNetworkForward:
         p1, _ = network_forward(params, config, batch, mode="eval")
         p2, _ = network_forward(params, config, extended, mode="eval")
         assert np.array_equal(p1, p2[:5])
+
+    def test_one_step_sequence_ignores_trailing_padding(self):
+        """A lone one-step sequence gets the same prediction and gradients,
+        bit for bit, under trailing padding steps. Its projection is a
+        one-row product, which BLAS computes on a matrix-vector path, so
+        padding rows must not join the real rows' GEMM."""
+        for cell in ("lstm", "gru"):
+            config = self.small_config(cell=cell)
+            params = init_params(config, 19)
+            batch = random_batch(np.random.default_rng(19), 1, 1, 3)
+            padded = PaddedBatch(
+                inputs=np.concatenate([batch.inputs, np.zeros((3, 1, 3))]),
+                targets=np.concatenate([batch.targets, np.zeros((3, 1))]),
+                mask=np.concatenate([batch.mask, np.zeros((3, 1))]),
+                lengths=batch.lengths)
+            runs = []
+            for b in (batch, padded):
+                preds, cache = network_forward(params, config, b, mode="eval")
+                _, dpred = mse_loss(preds, b.targets, b.mask)
+                runs.append((preds[:1], network_backward(params, config, cache,
+                                                         dpred, b.mask)))
+            assert np.array_equal(runs[0][0], runs[1][0])
+            assert trees_equal(runs[0][1], runs[1][1])
 
     def test_stack_agrees_with_public_cell_ops(self):
         """Unrolling lstm_cell_forward/gru_cell_forward by hand reproduces
@@ -488,6 +536,41 @@ class TestCheckpoint:
         save_checkpoint(p1, params, config, norm)
         save_checkpoint(p2, params, config, norm)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def rewrite_meta(self, path, edit):
+        """Save a small checkpoint at path with edit() applied to its metadata."""
+        config = NetworkConfig(cell_kind="gru", layer_widths=(4,),
+                               dropout_rate=0.0, dropout_after_layers=(),
+                               output_activation="linear", input_width=9)
+        original = path.with_suffix(".orig.npz")
+        save_checkpoint(original, init_params(config, 24), config,
+                        self.make_norm())
+        with zipfile.ZipFile(original) as src, \
+                zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as dst:
+            for name in src.namelist():
+                data = src.read(name)
+                if name == "meta.json":
+                    meta = json.loads(data)
+                    edit(meta)
+                    data = json.dumps(meta).encode("utf-8")
+                dst.writestr(name, data)
+
+    def test_other_format_rejected_with_file_and_format(self, tmp_path):
+        path = tmp_path / "old.npz"
+        self.rewrite_meta(path, lambda meta: meta.update(
+            format="pournet-checkpoint-v1"))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        assert "pournet-checkpoint-v1" in str(err.value)
+
+    def test_missing_meta_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "partial.npz"
+        self.rewrite_meta(path, lambda meta: meta.pop("norm_mode"))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        assert "norm_mode" in str(err.value)
 
     def test_readable_by_numpy(self, tmp_path):
         config = NetworkConfig(cell_kind="gru", layer_widths=(4,),

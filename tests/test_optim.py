@@ -135,9 +135,9 @@ class TestAdamStep:
         params = init_params(config, 0)
         state = init_adam(params)
         grads = tree_map(np.zeros_like, params)
-        grads.layers[1].candidate.u[0, 0] = np.nan
+        grads.layers[1].u[0, 9] = np.nan  # candidate block (hidden 3)
         with pytest.raises(NonFiniteGradientError,
-                           match=r"layers\[1\]\.candidate\.u"):
+                           match=r"layers\[1\]\.u"):
             adam_step(state, params, grads)
 
     def test_structural_mismatch_rejected(self):

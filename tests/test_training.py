@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pournet.data import fit_normalization, pad_and_batch, save_dataset, split_dataset
-from pournet.network import NetworkConfig, network_forward, tree_leaves
+from pournet import training
+from pournet.network import (NetworkConfig, network_backward, network_forward,
+                             tree_leaves)
 from pournet.synth import SynthParams, generate_dataset
 from pournet.training import (TrainConfig, TrainingDivergedError, TrainReport,
                               evaluate_model, export_loss_curve,
@@ -113,6 +115,20 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as err:
             train(dataset, config)
         assert err.value.epoch >= 1
+
+    def test_non_finite_gradient_names_leaf_and_epoch(self, dataset,
+                                                       monkeypatch):
+        def poisoned_backward(*args):
+            grads = network_backward(*args)
+            grads.layers[1].u[0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(training, "network_backward", poisoned_backward)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"non-finite gradient at layers\[1\]\.u "
+                                 r"in epoch 1$") as err:
+            train(dataset, small_config())
+        assert err.value.epoch == 1
 
     def test_validation_runs_in_eval_mode(self, dataset):
         """With dropout rate 0, one train-mode pass equals the eval pass
