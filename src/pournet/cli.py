@@ -166,8 +166,7 @@ def _cmd_predict(args) -> int:
     seqs = load_dataset(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for seq in seqs:
-        curve = predict(params, net, norm, seq)
+    for seq, curve in zip(seqs, predict(params, net, norm, seqs)):
         export_prediction(seq, curve, out_dir / f"pred_{seq.id}.csv")
     print(f"wrote {len(seqs)} prediction files to {out_dir}")
     return 0
@@ -179,11 +178,11 @@ def _cmd_eval_dtw(args) -> int:
     pairs = evaluate_model(params, net, norm, seqs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for seq, (pred_curve, actual_curve) in zip(seqs, pairs):
-        result = fastdtw(pred_curve, actual_curve, args.radius)
+    score = score_testset(pairs, args.radius)
+    for seq, (pred_curve, actual_curve), result in zip(seqs, pairs,
+                                                       score.results):
         export_alignment(result, pred_curve, actual_curve,
                          out_dir / f"align_{seq.id}.csv")
-    score = score_testset(pairs, args.radius)
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("id,distance\n")

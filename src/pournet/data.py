@@ -325,27 +325,28 @@ def load_dataset(path):
 
     Raises DatasetParseError for unparseable lines and DatasetSchemaError
     for records that are missing fields or violate sequence invariants;
-    both name the offending 1-based line.
+    both name the file and the offending 1-based line.
     """
     sequences = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetParseError(f"line {lineno}: {exc}") from exc
-            sequences.append(_record_to_sequence(record, lineno))
+                raise DatasetParseError(f"{where}: {exc}") from exc
+            sequences.append(_record_to_sequence(record, where))
     return sequences
 
 
-def _record_to_sequence(record, lineno: int) -> PouringSequence:
+def _record_to_sequence(record, where: str) -> PouringSequence:
     if not isinstance(record, dict):
-        raise DatasetSchemaError(f"line {lineno}: record must be an object")
+        raise DatasetSchemaError(f"{where}: record must be an object")
     for name in ("id", *_STATIC_FIELDS, "steps"):
         if name not in record:
-            raise DatasetSchemaError(f"line {lineno}: missing field {name!r}")
+            raise DatasetSchemaError(f"{where}: missing field {name!r}")
     try:
         statics = StaticFeatures(**{name: float(record[name])
                                     for name in _STATIC_FIELDS})
@@ -353,7 +354,7 @@ def _record_to_sequence(record, lineno: int) -> PouringSequence:
         for step in record["steps"]:
             if "theta" not in step or "f" not in step:
                 raise DatasetSchemaError(
-                    f"line {lineno}: step needs 'theta' and 'f' fields")
+                    f"{where}: step needs 'theta' and 'f' fields")
             steps.append(TimeStep(theta_deg=float(step["theta"]),
                                   f_lbf=float(step["f"])))
         return PouringSequence(id=str(record["id"]), steps=tuple(steps),
@@ -361,4 +362,4 @@ def _record_to_sequence(record, lineno: int) -> PouringSequence:
     except DatasetSchemaError:
         raise
     except (TypeError, ValueError) as exc:
-        raise DatasetSchemaError(f"line {lineno}: {exc}") from exc
+        raise DatasetSchemaError(f"{where}: {exc}") from exc

@@ -32,13 +32,17 @@ class DTWResult:
 
 @dataclass
 class TestsetScore:
-    """Per-pair DTW distances plus summary statistics."""
+    """Per-pair FastDTW results plus summary statistics of their distances."""
 
-    distances: list
+    results: list  # of DTWResult, one per pair
     mean: float
     median: float
     min: float
     max: float
+
+    @property
+    def distances(self) -> list:
+        return [r.distance for r in self.results]
 
 
 def validate_warp_path(path, len_a: int, len_b: int) -> None:
@@ -164,13 +168,13 @@ def _expanded_window(coarse_path, m: int, n: int, radius: int):
 
 
 def score_testset(pairs, radius: int = 1) -> TestsetScore:
-    """FastDTW distance for each (predicted, actual) pair plus aggregates."""
+    """FastDTW result for each (predicted, actual) pair plus aggregates."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one curve pair to score")
-    distances = [fastdtw(pred, actual, radius).distance
-                 for pred, actual in pairs]
-    return TestsetScore(distances=distances, mean=fmean(distances),
+    results = [fastdtw(pred, actual, radius) for pred, actual in pairs]
+    distances = [r.distance for r in results]
+    return TestsetScore(results=results, mean=fmean(distances),
                         median=float(median(distances)),
                         min=min(distances), max=max(distances))
 

@@ -4,6 +4,12 @@ The loop reproduces the fixed protocol: a 70/27/3 split, target scaling
 matched to the output head, per-epoch reshuffling into mini-batches
 padded to the batch maximum, Adam updates, and per-epoch train plus
 validation losses. Validation always runs in eval mode.
+
+Prediction runs in length-sorted padded batches of PREDICT_CHUNK (32)
+sequences. Padding never reaches a sequence's real steps, but a batch of
+another width can take another BLAS code path, so a batched curve agrees
+with the same sequence predicted alone to about 1e-15 lbf, not bit for
+bit; repeated runs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +23,10 @@ from .data import fit_normalization, pad_and_batch, split_dataset
 from .network import (NetworkConfig, network_backward, network_forward,
                       init_params, tree_map)
 from .optim import NonFiniteGradientError, adam_step, init_adam, mse_loss
+
+# Sequences per eval-mode forward pass in predict. Wider chunks are no
+# faster on 20-50 step sequences, but hold a larger forward cache.
+PREDICT_CHUNK = 32
 
 
 class TrainingDivergedError(RuntimeError):
@@ -142,11 +152,24 @@ def train(dataset, config: TrainConfig):
     return params, norm, report
 
 
-def predict(params, net: NetworkConfig, norm, seq) -> np.ndarray:
-    """Denormalized predicted weight curve for one sequence (lbf)."""
-    batch = pad_and_batch([seq], norm)
-    preds, _ = network_forward(params, net, batch, mode="eval")
-    return norm.denormalize_targets(preds[:, 0])
+def predict(params, net: NetworkConfig, norm, seqs) -> list:
+    """Denormalized predicted weight curves (lbf), one per sequence, in
+    input order.
+
+    Sequences are sorted stably by length and run PREDICT_CHUNK at a time
+    as one padded eval-mode batch each, so neighbours in a batch carry
+    little padding.
+    """
+    seqs = list(seqs)
+    order = sorted(range(len(seqs)), key=lambda k: len(seqs[k]))
+    curves = [None] * len(seqs)
+    for start in range(0, len(order), PREDICT_CHUNK):
+        chunk = order[start:start + PREDICT_CHUNK]
+        batch = pad_and_batch([seqs[k] for k in chunk], norm)
+        preds, _ = network_forward(params, net, batch, mode="eval")
+        for col, k in enumerate(chunk):
+            curves[k] = norm.denormalize_targets(preds[:len(seqs[k]), col])
+    return curves
 
 
 def evaluate_model(params, net: NetworkConfig, norm, testset):
@@ -154,8 +177,9 @@ def evaluate_model(params, net: NetworkConfig, norm, testset):
 
     Actual curves are the raw recorded weights, passed through untouched.
     """
-    return [(predict(params, net, norm, seq), seq.weights())
-            for seq in testset]
+    testset = list(testset)
+    return [(curve, seq.weights())
+            for curve, seq in zip(predict(params, net, norm, testset), testset)]
 
 
 def export_loss_curve(report: TrainReport, path) -> None:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import pournet
+import pournet.cli
+import pournet.dtw
 from pournet.cli import run
 from pournet.data import load_dataset
 from pournet.network import load_checkpoint
@@ -101,7 +103,6 @@ class TestTrain:
         writes byte-identical checkpoint and loss files. With batches of
         32 sequences of 20-50 steps, OpenBLAS runs the weight- and
         input-gradient GEMMs on both threads."""
-        src_dir = Path(pournet.__file__).resolve().parents[1]
         data = tmp_path / "data.jsonl"
         assert run(["synth", "--n", "60", "--seed", "8", "--noise", "0.01",
                     "--out", str(data)]) == 0
@@ -109,20 +110,29 @@ class TestTrain:
         for threads in ("1", "2"):
             model = tmp_path / f"t{threads}.npz"
             losses = tmp_path / f"t{threads}.csv"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, [str(src_dir),
-                                         os.environ.get("PYTHONPATH")])))
-            subprocess.run(
-                [sys.executable, "-m", "pournet.cli", "train", "--data",
-                 str(data), "--cell", "lstm", "--head", "sigmoid",
-                 "--epochs", "2", "--seed", "5", "--out-model", str(model),
-                 "--out-losses", str(losses)],
-                env=env, check=True, capture_output=True, timeout=300)
+            _run_with_blas_threads(
+                threads, ["train", "--data", str(data), "--cell", "lstm",
+                          "--head", "sigmoid", "--epochs", "2", "--seed", "5",
+                          "--out-model", str(model),
+                          "--out-losses", str(losses)])
             outs.append((model.read_bytes(), losses.read_bytes()))
         assert outs[0][0] == outs[1][0], "checkpoints differ"
         assert outs[0][1] == outs[1][1], "loss files differ"
+
+
+def _run_with_blas_threads(threads: str, argv) -> None:
+    """Run the CLI in a fresh process pinned to `threads` BLAS threads."""
+    src_dir = Path(pournet.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src_dir), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "pournet.cli", *argv], env=env,
+                   check=True, capture_output=True, timeout=300)
+
+
+def _tree_bytes(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
 class TestPredictAndEval:
@@ -162,6 +172,53 @@ class TestPredictAndEval:
                                                       rel=1e-12)
         assert float(footer["min"]) == min(distances)
         assert float(footer["max"]) == max(distances)
+
+    def test_eval_dtw_runs_fastdtw_once_per_pair(self, model_file, data_file,
+                                                 tmp_path, monkeypatch):
+        calls = []
+        real = pournet.dtw.fastdtw
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # the CLI's own binding too, so a direct call from eval-dtw counts
+        monkeypatch.setattr(pournet.dtw, "fastdtw", counted)
+        monkeypatch.setattr(pournet.cli, "fastdtw", counted)
+        out = tmp_path / "dtw"
+        assert run(["eval-dtw", "--model", str(model_file), "--data",
+                    str(data_file), "--radius", "1", "--out", str(out)]) == 0
+        assert len(calls) == 30
+        rows = (out / "summary.csv").read_text().splitlines()[1:31]
+        for line in rows:
+            seq_id, distance = line.split(",")
+            align = (out / f"align_{seq_id}.csv").read_text().splitlines()
+            cost = sum(float(row.split(",")[4]) for row in align[1:])
+            assert cost == pytest.approx(float(distance), rel=1e-12,
+                                         abs=1e-12)
+
+    def test_outputs_independent_of_blas_thread_count(self, model_file,
+                                                      tmp_path):
+        """Batched prediction and scoring in fresh processes pinned to 1
+        and to 2 BLAS threads write byte-identical files. 70 sequences
+        make two full chunks of 32 and one of 6; at 20-50 steps the
+        input-projection GEMMs are large enough for OpenBLAS to thread."""
+        data = tmp_path / "data.jsonl"
+        assert run(["synth", "--n", "70", "--seed", "12", "--noise", "0.01",
+                    "--out", str(data)]) == 0
+        outs = []
+        for threads in ("1", "2"):
+            preds, scores = tmp_path / f"p{threads}", tmp_path / f"d{threads}"
+            _run_with_blas_threads(threads, [
+                "predict", "--model", str(model_file), "--data", str(data),
+                "--out", str(preds)])
+            _run_with_blas_threads(threads, [
+                "eval-dtw", "--model", str(model_file), "--data", str(data),
+                "--out", str(scores)])
+            outs.append((_tree_bytes(preds), _tree_bytes(scores)))
+        assert len(outs[0][0]) == 70 and len(outs[0][1]) == 71
+        assert outs[0][0] == outs[1][0], "prediction files differ"
+        assert outs[0][1] == outs[1][1], "eval-dtw files differ"
 
 
 class TestGradcheck:

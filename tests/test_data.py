@@ -259,6 +259,18 @@ class TestDatasetFiles:
         with pytest.raises(DatasetParseError, match="line 2"):
             load_dataset(path)
 
+    def test_errors_name_file_and_field(self, tmp_path):
+        path = tmp_path / "one_field.jsonl"
+        path.write_text('{"id": "a"}\n')
+        with pytest.raises(DatasetSchemaError) as info:
+            load_dataset(path)
+        assert str(path) in str(info.value)
+        assert "line 1" in str(info.value) and "'f_init'" in str(info.value)
+        path.write_text("{not json\n")
+        with pytest.raises(DatasetParseError) as info:
+            load_dataset(path)
+        assert str(info.value).startswith(f"{path}: line 1:")
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

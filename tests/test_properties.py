@@ -1,0 +1,62 @@
+"""Property tests: DTW metric laws, FastDTW's bound, normalization, splits."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pournet.data import NUM_INPUT_FEATURES, NormalizationSpec, split_dataset
+from pournet.dtw import dtw_exact, fastdtw
+
+SETTINGS = settings(deadline=None, max_examples=40)
+
+curves = st.lists(st.floats(-100.0, 100.0, allow_nan=False,
+                            allow_infinity=False),
+                  min_size=1, max_size=24)
+
+
+@SETTINGS
+@given(curves, curves)
+def test_dtw_symmetric_and_non_negative(a, b):
+    forward = dtw_exact(a, b).distance
+    assert forward >= 0.0
+    assert dtw_exact(b, a).distance == forward
+
+
+@SETTINGS
+@given(curves, st.integers(0, 3))
+def test_dtw_identity_is_zero(a, radius):
+    assert dtw_exact(a, a).distance == 0.0
+    assert fastdtw(a, a, radius).distance == 0.0
+
+
+@SETTINGS
+@given(curves, curves, st.integers(0, 3))
+def test_fastdtw_never_below_exact(a, b, radius):
+    # Each FastDTW path is a legal warp path and float addition rounds
+    # monotonically, so the exact minimum cannot exceed it.
+    assert fastdtw(a, b, radius).distance >= dtw_exact(a, b).distance
+
+
+@SETTINGS
+@given(st.sampled_from(("linear", "sigmoid", "tanh")),
+       st.floats(-1e3, 1e3), st.floats(1e-3, 1e3),
+       st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16))
+def test_target_normalization_round_trip(mode, lo, span, values):
+    spec = NormalizationSpec(mode=mode, target_min=lo, target_max=lo + span,
+                             input_mean=np.zeros(NUM_INPUT_FEATURES),
+                             input_std=np.ones(NUM_INPUT_FEATURES))
+    values = np.array(values)
+    back = spec.denormalize_targets(spec.normalize_targets(values))
+    scale = abs(lo) + span + np.abs(values)
+    assert np.all(np.abs(back - values) <= 1e-12 * scale)
+
+
+@SETTINGS
+@given(st.integers(10, 5000), st.integers(0, 2**32 - 1))
+def test_split_sizes(n, seed):
+    train, val, test = split_dataset(range(n), seed)
+    n_train = int(0.7 * n + 1e-9)
+    n_val = int(0.9 * (n - n_train) + 1e-9)
+    assert (len(train), len(val), len(test)) == (n_train, n_val,
+                                                 n - n_train - n_val)
+    assert sorted(train + val + test) == list(range(n))

@@ -178,20 +178,49 @@ class TestPredict:
     def test_output_length(self, dataset, trained):
         params, net, norm = trained
         seq = dataset[0]
-        assert predict(params, net, norm, seq).shape == (len(seq),)
+        assert predict(params, net, norm, [seq])[0].shape == (len(seq),)
 
     def test_sigmoid_head_stays_in_training_range(self, dataset, trained):
         params, net, norm = trained
         for seq in dataset[:5]:
-            curve = predict(params, net, norm, seq)
+            curve = predict(params, net, norm, [seq])[0]
             assert np.all(curve >= norm.target_min)
             assert np.all(curve <= norm.target_max)
 
     def test_repeated_calls_identical(self, dataset, trained):
         params, net, norm = trained
         seq = dataset[3]
-        assert np.array_equal(predict(params, net, norm, seq),
-                              predict(params, net, norm, seq))
+        assert np.array_equal(predict(params, net, norm, [seq])[0],
+                              predict(params, net, norm, [seq])[0])
+
+    def test_batched_curves_match_one_at_a_time(self, trained):
+        """Several length-sorted chunks, some wider than one sequence: each
+        curve is within 1e-12 lbf of the same sequence predicted alone
+        (summation order inside BLAS may differ, so not bit for bit)."""
+        params, net, norm = trained
+        count = 2 * training.PREDICT_CHUNK + 5
+        unseen = generate_dataset(SynthParams(num_sequences=count,
+                                              noise_std=0.01, seed=78))
+        batched = predict(params, net, norm, unseen)
+        assert len(batched) == len(unseen)
+        for seq, curve in zip(unseen, batched):
+            alone = predict(params, net, norm, [seq])[0]
+            assert curve.shape == alone.shape == (len(seq),)
+            np.testing.assert_allclose(curve, alone, rtol=0.0, atol=1e-12)
+
+    def test_empty_input(self, trained):
+        params, net, norm = trained
+        assert predict(params, net, norm, []) == []
+
+    def test_output_order_follows_input_order(self, dataset, trained):
+        params, net, norm = trained
+        seqs = list(dataset)
+        assert len({len(s) for s in seqs}) > 1
+        shuffled = [seqs[k] for k in np.random.default_rng(4).permutation(len(seqs))]
+        by_id = dict(zip((s.id for s in seqs), predict(params, net, norm, seqs)))
+        for seq, curve in zip(shuffled, predict(params, net, norm, shuffled)):
+            np.testing.assert_allclose(curve, by_id[seq.id], rtol=0.0,
+                                       atol=1e-12)
 
 
 class TestEvaluateModel:
@@ -254,7 +283,7 @@ class TestExports:
         config = small_config(epochs=1)
         params, norm, _ = train(dataset, config)
         seq = dataset[0]
-        curve = predict(params, config.network, norm, seq)
+        curve = predict(params, config.network, norm, [seq])[0]
         path = tmp_path / "pred.csv"
         export_prediction(seq, curve, path)
         lines = path.read_text().splitlines()
