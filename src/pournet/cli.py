@@ -173,8 +173,12 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval_dtw(args) -> int:
+    if args.radius < 0:
+        raise ValueError(f"--radius must be non-negative, got {args.radius}")
     params, net, norm = load_checkpoint(args.model)
     seqs = load_dataset(args.data)
+    if not seqs:
+        raise ValueError(f"{args.data}: no sequences to score")
     pairs = evaluate_model(params, net, norm, seqs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

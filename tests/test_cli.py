@@ -197,6 +197,36 @@ class TestPredictAndEval:
             assert cost == pytest.approx(float(distance), rel=1e-12,
                                          abs=1e-12)
 
+    def test_predict_empty_dataset_writes_nothing(self, model_file,
+                                                 tmp_path, capsys):
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        assert run(["predict", "--model", str(model_file), "--data",
+                    str(data), "--out", str(tmp_path / "preds")]) == 0
+        assert "wrote 0 prediction files" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ["empty data", "negative radius"])
+    def test_eval_dtw_rejects_before_predicting(self, case, model_file,
+                                                data_file, tmp_path,
+                                                monkeypatch, capsys):
+        predicted = []
+        monkeypatch.setattr(pournet.cli, "evaluate_model",
+                            lambda *args: predicted.append(1))
+        data, radius = data_file, "1"
+        if case == "empty data":
+            data = tmp_path / "empty.jsonl"
+            data.write_text("")
+            expected = f"error: {data}: no sequences to score"
+        else:
+            radius = "-1"
+            expected = "error: --radius must be non-negative, got -1"
+        out = tmp_path / "dtw"
+        assert run(["eval-dtw", "--model", str(model_file), "--data",
+                    str(data), "--radius", radius, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == expected
+        assert predicted == []
+        assert not out.exists()
+
     def test_outputs_independent_of_blas_thread_count(self, model_file,
                                                       tmp_path):
         """Batched prediction and scoring in fresh processes pinned to 1

@@ -1,5 +1,7 @@
 """DTW distances, warp paths, and the FastDTW approximation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,17 +63,58 @@ class TestDTWExact:
         with pytest.raises(ValueError):
             dtw_exact([np.nan], [1.0])
 
+    def test_memory_bounded_on_long_input(self):
+        """The backtrace takes one byte per cell (4 MB here); a matrix of
+        Python floats took 128 MB."""
+        rng = np.random.default_rng(13)
+        a = np.cumsum(rng.standard_normal(2000))
+        b = np.cumsum(rng.standard_normal(2000))
+        tracemalloc.start()
+        try:
+            dtw_exact(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def assert_full_radius_equals_exact(a, b):
+    exact = dtw_exact(a, b)
+    fast = fastdtw(a, b, radius=max(len(a), len(b)))
+    assert fast.distance == exact.distance
+    assert fast.path == exact.path
+
 
 class TestFastDTW:
+    """Full-radius FastDTW runs the scalar windowed kernel over the whole
+    matrix, so it cross-checks the anti-diagonal kernel of dtw_exact."""
+
     def test_full_radius_equals_exact(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             a = rng.standard_normal(rng.integers(1, 65))
             b = rng.standard_normal(rng.integers(1, 65))
-            exact = dtw_exact(a, b)
-            fast = fastdtw(a, b, radius=max(len(a), len(b)))
-            assert fast.distance == exact.distance
-            assert fast.path == exact.path
+            assert_full_radius_equals_exact(a, b)
+
+    def test_full_radius_equals_exact_on_integer_curves(self):
+        """Ties between diag, up and left are everywhere, so both kernels
+        must take the first minimum in that order."""
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            a = rng.integers(-3, 4, rng.integers(1, 41)).astype(float)
+            b = rng.integers(-3, 4, rng.integers(1, 41)).astype(float)
+            assert_full_radius_equals_exact(a, b)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 9), (9, 1)])
+    def test_full_radius_equals_exact_on_single_row_or_column(self, m, n):
+        rng = np.random.default_rng(m * 10 + n)
+        assert_full_radius_equals_exact(rng.standard_normal(m),
+                                        rng.standard_normal(n))
+
+    def test_full_radius_equals_exact_on_long_random_walks(self):
+        rng = np.random.default_rng(15)
+        assert_full_radius_equals_exact(np.cumsum(rng.standard_normal(300)),
+                                        np.cumsum(rng.standard_normal(257)))
 
     def test_identity_any_radius(self):
         rng = np.random.default_rng(8)

@@ -22,6 +22,18 @@ def test_dtw_symmetric_and_non_negative(a, b):
     assert dtw_exact(b, a).distance == forward
 
 
+# integer values make ties between diag, up and left common
+tie_curves = st.lists(st.integers(-3, 3), min_size=1, max_size=24)
+
+
+@SETTINGS
+@given(tie_curves, tie_curves)
+def test_full_radius_fastdtw_equals_exact_under_ties(a, b):
+    exact = dtw_exact(a, b)
+    fast = fastdtw(a, b, radius=max(len(a), len(b)))
+    assert (fast.distance, fast.path) == (exact.distance, exact.path)
+
+
 @SETTINGS
 @given(curves, st.integers(0, 3))
 def test_dtw_identity_is_zero(a, radius):
