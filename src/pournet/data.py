@@ -4,6 +4,10 @@ A pouring demonstration is a variable-length sequence of (rotation angle,
 sensed weight) steps plus eight static container/material features. The
 weight at each step is the prediction target; the angle and the statics
 form the 9-wide input feature vector.
+
+A sequence stores its steps as two read-only float64 arrays, ``thetas``
+(degrees) and ``weights`` (lbf), with step t at index t; they are checked
+once, as whole arrays, and every consumer reads them directly.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ INPUT_FEATURES = (
     "rho",
 )
 NUM_INPUT_FEATURES = len(INPUT_FEATURES)
+_STATIC_FIELDS = INPUT_FEATURES[1:]
 
 NORMALIZATION_MODES = ("linear", "sigmoid", "tanh")
 
@@ -59,21 +64,6 @@ class RawForceReading:
 
 
 @dataclass(frozen=True)
-class TimeStep:
-    """One timestep of a pouring sequence."""
-
-    theta_deg: float  # rotation angle (degrees)
-    f_lbf: float  # sensed weight (lbf)
-
-    def __post_init__(self):
-        _coerce_float_fields(self, ("theta_deg", "f_lbf"))
-        if not math.isfinite(self.theta_deg):
-            raise ValueError("theta_deg must be finite")
-        if not (math.isfinite(self.f_lbf) and self.f_lbf >= 0.0):
-            raise ValueError("f_lbf must be finite and non-negative")
-
-
-@dataclass(frozen=True)
 class StaticFeatures:
     """Per-sequence constants: weights around the pour, geometry, density."""
 
@@ -87,11 +77,8 @@ class StaticFeatures:
     rho: float  # material density relative to water (unitless)
 
     def __post_init__(self):
-        _coerce_float_fields(self, ("f_init", "f_empty", "f_final", "d_cup",
-                                    "h_cup", "d_cta", "h_cta", "rho"))
-        values = (self.f_init, self.f_empty, self.f_final,
-                  self.d_cup, self.h_cup, self.d_cta, self.h_cta, self.rho)
-        if not all(math.isfinite(v) for v in values):
+        _coerce_float_fields(self, _STATIC_FIELDS)
+        if not all(math.isfinite(v) for v in self.as_tuple()):
             raise ValueError("static features must be finite")
         if not self.f_empty <= self.f_final <= self.f_init:
             raise ValueError(
@@ -103,36 +90,52 @@ class StaticFeatures:
             raise ValueError("relative density must be positive")
 
     def as_tuple(self):
-        return (self.f_init, self.f_empty, self.f_final, self.d_cup,
-                self.h_cup, self.d_cta, self.h_cta, self.rho)
+        return tuple(getattr(self, name) for name in _STATIC_FIELDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PouringSequence:
-    """One pouring demonstration: ordered timesteps plus static features."""
+    """One pouring demonstration: per-step arrays plus static features.
+
+    thetas[t] is the rotation angle (degrees) and weights[t] the sensed
+    weight (lbf) at step t: 1-d float64 arrays of one non-zero length,
+    copied on construction, read-only, compared by value, not hashable.
+    """
 
     id: str
-    steps: tuple
+    thetas: np.ndarray
+    weights: np.ndarray
     statics: StaticFeatures
 
     def __post_init__(self):
-        if len(self.steps) == 0:
+        for name in ("thetas", "weights"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        thetas, weights = self.thetas, self.weights
+        if thetas.ndim != 1 or thetas.shape != weights.shape:
+            raise ValueError("thetas and weights must be 1-d and of one length")
+        if thetas.size == 0:
             raise ValueError("a pouring sequence needs at least one step")
-        object.__setattr__(self, "steps", tuple(self.steps))
+        if not np.isfinite(thetas).all():
+            raise ValueError("theta_deg must be finite")
+        if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
+            raise ValueError("f_lbf must be finite and non-negative")
+
+    def __eq__(self, other):
+        if not isinstance(other, PouringSequence):
+            return NotImplemented
+        return (self.id == other.id and self.statics == other.statics
+                and np.array_equal(self.thetas, other.thetas)
+                and np.array_equal(self.weights, other.weights))
 
     def __len__(self):
-        return len(self.steps)
-
-    def thetas(self) -> np.ndarray:
-        return np.array([s.theta_deg for s in self.steps], dtype=np.float64)
-
-    def weights(self) -> np.ndarray:
-        return np.array([s.f_lbf for s in self.steps], dtype=np.float64)
+        return len(self.thetas)
 
     def input_matrix(self) -> np.ndarray:
         """Raw (unnormalized) per-step input features, shape [len, 9]."""
-        feats = np.empty((len(self.steps), NUM_INPUT_FEATURES), dtype=np.float64)
-        feats[:, 0] = self.thetas()
+        feats = np.empty((len(self), NUM_INPUT_FEATURES), dtype=np.float64)
+        feats[:, 0] = self.thetas
         feats[:, 1:] = self.statics.as_tuple()
         return feats
 
@@ -271,7 +274,7 @@ def fit_normalization(train, mode: str) -> NormalizationSpec:
         raise ValueError("cannot fit normalization on an empty training set")
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization mode {mode!r}")
-    targets = np.concatenate([seq.weights() for seq in train])
+    targets = np.concatenate([seq.weights for seq in train])
     f_min = float(targets.min())
     f_max = float(targets.max())
     if f_max == f_min:
@@ -295,17 +298,12 @@ def pad_and_batch(seqs, spec: NormalizationSpec) -> PaddedBatch:
     b = len(seqs)
     inputs = np.zeros((t_max, b, NUM_INPUT_FEATURES), dtype=np.float64)
     targets = np.zeros((t_max, b), dtype=np.float64)
-    mask = np.zeros((t_max, b), dtype=np.float64)
     for i, seq in enumerate(seqs):
         n = len(seq)
         inputs[:n, i, :] = spec.normalize_inputs(seq.input_matrix())
-        targets[:n, i] = spec.normalize_targets(seq.weights())
-        mask[:n, i] = 1.0
+        targets[:n, i] = spec.normalize_targets(seq.weights)
+    mask = (np.arange(t_max)[:, None] < lengths).astype(np.float64)
     return PaddedBatch(inputs=inputs, targets=targets, mask=mask, lengths=lengths)
-
-
-_STATIC_FIELDS = ("f_init", "f_empty", "f_final",
-                  "d_cup", "h_cup", "d_cta", "h_cta", "rho")
 
 
 def save_dataset(seqs, path) -> None:
@@ -315,8 +313,8 @@ def save_dataset(seqs, path) -> None:
             record = {"id": seq.id}
             for name in _STATIC_FIELDS:
                 record[name] = float(getattr(seq.statics, name))
-            record["steps"] = [{"theta": float(s.theta_deg),
-                                "f": float(s.f_lbf)} for s in seq.steps]
+            record["steps"] = [{"theta": theta, "f": f} for theta, f
+                               in zip(seq.thetas.tolist(), seq.weights.tolist())]
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
@@ -350,15 +348,15 @@ def _record_to_sequence(record, where: str) -> PouringSequence:
     try:
         statics = StaticFeatures(**{name: float(record[name])
                                     for name in _STATIC_FIELDS})
-        steps = []
+        thetas, weights = [], []
         for step in record["steps"]:
             if "theta" not in step or "f" not in step:
                 raise DatasetSchemaError(
                     f"{where}: step needs 'theta' and 'f' fields")
-            steps.append(TimeStep(theta_deg=float(step["theta"]),
-                                  f_lbf=float(step["f"])))
-        return PouringSequence(id=str(record["id"]), steps=tuple(steps),
-                               statics=statics)
+            thetas.append(float(step["theta"]))
+            weights.append(float(step["f"]))
+        return PouringSequence(id=str(record["id"]), thetas=thetas,
+                               weights=weights, statics=statics)
     except DatasetSchemaError:
         raise
     except (TypeError, ValueError) as exc:

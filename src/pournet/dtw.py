@@ -122,8 +122,8 @@ def _dtw_dp(a, b, ranges) -> DTWResult:
         rows.append(row)
         offs.append(lo - 1)
     distance = rows[m][n - 1 - offs[m]]
-    if distance == _INF:
-        raise RuntimeError("search window admits no complete warp path")
+    if not distance < _INF:  # every window holds a path; nan is inf - inf
+        raise RuntimeError("DTW distance overflows float64")
 
     path = [(m - 1, n - 1)]
     i, j = m - 1, n - 1
@@ -144,6 +144,8 @@ def _dtw_dp(a, b, ranges) -> DTWResult:
     return DTWResult(distance=distance, path=path)
 
 
+# float64 overflow is reported once, from the end cell, not per diagonal
+@np.errstate(over="ignore")
 def dtw_exact(a, b) -> DTWResult:
     """Full dynamic program; optimal distance over all warp paths.
 
@@ -184,7 +186,7 @@ def dtw_exact(a, b) -> DTWResult:
         two, one, cur = one, cur, two
     distance = float(one[m])
     if distance == _INF:
-        raise RuntimeError("search window admits no complete warp path")
+        raise RuntimeError("DTW distance overflows float64")
 
     # On the first row and column only one move is legal, so the choices
     # stored there are never read.

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PouringSequence, StaticFeatures, TimeStep
+from .data import PouringSequence, StaticFeatures
 
 DEFAULT_MATERIALS = (("water", 1.0), ("beans", 0.85), ("ice", 0.92))
 
@@ -125,13 +125,11 @@ def generate_sequence(params: SynthParams, rng, seq_id: str | None = None) -> Po
     if seq_id is None:
         seq_id = f"synth-{material}-{rng.integers(2 ** 63):016x}"
 
-    statics = StaticFeatures(f_init=float(f_init), f_empty=float(f_empty),
-                             f_final=float(latent[-1]), d_cup=float(d_cup),
-                             h_cup=float(h_cup), d_cta=float(d_cta),
-                             h_cta=float(h_cta), rho=float(rho))
-    steps = tuple(TimeStep(theta_deg=float(t), f_lbf=float(f))
-                  for t, f in zip(thetas, observed))
-    return PouringSequence(id=seq_id, steps=steps, statics=statics)
+    statics = StaticFeatures(f_init=f_init, f_empty=f_empty, f_final=latent[-1],
+                             d_cup=d_cup, h_cup=h_cup, d_cta=d_cta,
+                             h_cta=h_cta, rho=rho)
+    return PouringSequence(id=seq_id, thetas=thetas, weights=observed,
+                           statics=statics)
 
 
 def generate_dataset(params: SynthParams):

@@ -175,10 +175,10 @@ def predict(params, net: NetworkConfig, norm, seqs) -> list:
 def evaluate_model(params, net: NetworkConfig, norm, testset):
     """Predict every test sequence; returns (predicted, actual) pairs.
 
-    Actual curves are the raw recorded weights, passed through untouched.
+    Actual curves are each sequence's own read-only weights array.
     """
     testset = list(testset)
-    return [(curve, seq.weights())
+    return [(curve, seq.weights)
             for curve, seq in zip(predict(params, net, norm, testset), testset)]
 
 
@@ -198,6 +198,6 @@ def export_prediction(seq, predicted, path) -> None:
         raise ValueError("predicted curve length must match the sequence")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,theta,actual_f,predicted_f\n")
-        for t, step in enumerate(seq.steps):
-            fh.write(f"{t},{step.theta_deg!r},{step.f_lbf!r},"
-                     f"{float(predicted[t])!r}\n")
+        for t, (theta, actual, pred) in enumerate(zip(
+                seq.thetas.tolist(), seq.weights.tolist(), predicted.tolist())):
+            fh.write(f"{t},{theta!r},{actual!r},{pred!r}\n")

@@ -277,6 +277,14 @@ class TestDTWCommand:
         assert run(["dtw", "--a", str(a), "--b", str(b), "--radius", "2"]) == 0
         assert float(capsys.readouterr().out.strip()) == 3.0
 
+    def test_exact_overflow_is_runtime_error(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("1e308\n-1e308\n0\n")
+        b.write_text("-1e308\n1e308\n0\n")
+        assert run(["dtw", "--a", str(a), "--b", str(b), "--exact"]) == 1
+        assert "DTW distance overflows float64" in capsys.readouterr().err
+
     def test_exact_and_radius_conflict(self, tmp_path):
         curve = tmp_path / "c.txt"
         curve.write_text("1.0\n")

@@ -7,7 +7,7 @@ import pytest
 
 from pournet.data import (DatasetParseError, DatasetSchemaError,
                           PaddedBatch, PouringSequence,
-                          RawForceReading, StaticFeatures, TimeStep,
+                          RawForceReading, StaticFeatures,
                           average_initial_force, fit_normalization,
                           load_dataset, pad_and_batch, save_dataset,
                           sensed_force, split_dataset)
@@ -22,9 +22,8 @@ def make_sequence(seq_id, weights, thetas=None, statics=None):
         statics = StaticFeatures(f_init=max(weights), f_empty=min(weights),
                                  f_final=min(weights), d_cup=80.0, h_cup=100.0,
                                  d_cta=70.0, h_cta=110.0, rho=1.0)
-    steps = tuple(TimeStep(theta_deg=float(t), f_lbf=float(w))
-                  for t, w in zip(thetas, weights))
-    return PouringSequence(id=str(seq_id), steps=steps, statics=statics)
+    return PouringSequence(id=str(seq_id), thetas=thetas, weights=weights,
+                           statics=statics)
 
 
 def tiny_dataset(n, seed=0):
@@ -154,7 +153,7 @@ class TestNormalization:
         seqs = tiny_dataset(25, seed=4)
         spec = fit_normalization(seqs, mode)
         for seq in seqs:
-            scaled = spec.normalize_targets(seq.weights())
+            scaled = spec.normalize_targets(seq.weights)
             assert np.all(scaled >= lo) and np.all(scaled <= hi)
 
     def test_outside_training_range_is_not_clipped(self):
@@ -292,6 +291,27 @@ class TestDatasetFiles:
         with pytest.raises(DatasetSchemaError, match="line 1"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("steps", [
+        '[{"theta": 0.0, "f": -0.1}]',
+        '[{"theta": "abc", "f": 1.0}]',
+        '[{"theta": 0.0, "f": null}]',
+        '[]',
+        '[5]',
+        '5',
+        '[{"theta": 1e999, "f": 1.0}]',
+        '[{"theta": [1, 2], "f": 1.0}]',
+    ], ids=["negative f", "theta abc", "f null", "no steps", "step not object",
+            "steps not list", "theta overflows", "theta list"])
+    def test_bad_steps_name_file_and_line(self, tmp_path, steps):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"id": "a", "f_init": 1.0, "f_empty": 0.2, "f_final": 0.5, '
+            '"d_cup": 80, "h_cup": 100, "d_cta": 70, "h_cta": 110, '
+            f'"rho": 1.0, "steps": {steps}}}\n')
+        with pytest.raises(DatasetSchemaError) as info:
+            load_dataset(path)
+        assert str(info.value).startswith(f"{path}: line 1:")
+
 
 class TestDomainTypes:
     def test_static_ordering_enforced(self):
@@ -306,11 +326,23 @@ class TestDomainTypes:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            TimeStep(theta_deg=10.0, f_lbf=-0.1)
+            make_sequence("x", [0.5, -0.1], thetas=[0.0, 10.0])
+
+    def test_step_arrays_copied_and_read_only(self):
+        statics = make_sequence("x", [1.0, 0.5]).statics
+        thetas, weights = np.array([0.0, 10.0]), np.array([1.0, 0.5])
+        seq = PouringSequence(id="x", thetas=thetas, weights=weights,
+                              statics=statics)
+        thetas[0], weights[0] = 9.0, 9.0
+        assert (seq.thetas[0], seq.weights[0]) == (0.0, 1.0)
+        for arr in (seq.thetas, seq.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_empty_sequence_rejected(self):
         statics = StaticFeatures(f_init=1.0, f_empty=0.2, f_final=0.5,
                                  d_cup=80, h_cup=100, d_cta=70, h_cta=110,
                                  rho=1.0)
         with pytest.raises(ValueError):
-            PouringSequence(id="x", steps=(), statics=statics)
+            PouringSequence(id="x", thetas=np.array([]), weights=np.array([]),
+                            statics=statics)

@@ -1,6 +1,7 @@
 """DTW distances, warp paths, and the FastDTW approximation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,10 @@ import pytest
 from oracles import enumerate_dtw_distance, long_pair_corpus, short_pair_corpus
 from pournet.dtw import (dtw_exact, export_alignment, fastdtw, score_testset,
                          validate_warp_path)
+
+# finite curves whose pointwise differences overflow float64
+OVERFLOW_A = [1e308, -1e308, 0.0]
+OVERFLOW_B = [-1e308, 1e308, 0.0]
 
 
 class TestDTWExact:
@@ -62,6 +67,12 @@ class TestDTWExact:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             dtw_exact([np.nan], [1.0])
+
+    def test_overflow_reported_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="overflows float64"):
+                dtw_exact(OVERFLOW_A, OVERFLOW_B)
 
     def test_memory_bounded_on_long_input(self):
         """The backtrace takes one byte per cell (4 MB here); a matrix of
@@ -152,6 +163,15 @@ class TestFastDTW:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fastdtw([1.0], [], 1)
+
+    @pytest.mark.parametrize("scale", [1, 10])
+    def test_overflow_reported(self, scale):
+        # at ten times the length, halving averages 1e308 pairs to +inf
+        # and a coarse level meets inf - inf
+        a = [v for v in OVERFLOW_A for _ in range(scale)]
+        b = [v for v in OVERFLOW_B for _ in range(scale)]
+        with pytest.raises(RuntimeError, match="overflows float64"):
+            fastdtw(a, b, 1)
 
 
 class TestScoreTestset:

@@ -1,10 +1,16 @@
-"""Property tests: DTW metric laws, FastDTW's bound, normalization, splits."""
+"""Property tests: DTW metric laws, FastDTW's bound, normalization, splits,
+dataset file round trips."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pournet.data import NUM_INPUT_FEATURES, NormalizationSpec, split_dataset
+from pournet.data import (NUM_INPUT_FEATURES, NormalizationSpec,
+                          PouringSequence, StaticFeatures, load_dataset,
+                          save_dataset, split_dataset)
 from pournet.dtw import dtw_exact, fastdtw
 
 SETTINGS = settings(deadline=None, max_examples=40)
@@ -72,3 +78,29 @@ def test_split_sizes(n, seed):
     assert (len(train), len(val), len(test)) == (n_train, n_val,
                                                  n - n_train - n_val)
     assert sorted(train + val + test) == list(range(n))
+
+
+STATICS = StaticFeatures(f_init=1.0, f_empty=0.2, f_final=0.5, d_cup=80.0,
+                         h_cup=100.0, d_cta=70.0, h_cta=110.0, rho=1.0)
+# subnormals and the largest finite floats are in range by default
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+step_lists = st.integers(1, 60).flatmap(
+    lambda n: st.tuples(st.lists(finite, min_size=n, max_size=n),
+                        st.lists(non_negative, min_size=n, max_size=n)))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.text(), step_lists), min_size=1, max_size=3))
+@example([("edge", ([-1e308, 5e-324, -0.0], [1e308, 5e-324, 0.0]))])
+def test_dataset_file_round_trip(records):
+    seqs = [PouringSequence(id=seq_id, thetas=thetas, weights=weights,
+                            statics=STATICS)
+            for seq_id, (thetas, weights) in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.jsonl", Path(tmp) / "second.jsonl"
+        save_dataset(seqs, first)
+        loaded = load_dataset(first)
+        assert loaded == seqs
+        save_dataset(loaded, second)
+        assert second.read_bytes() == first.read_bytes()

@@ -51,14 +51,14 @@ class TestGenerateSequence:
     def test_noiseless_sequence_matches_statics(self):
         for i in range(20):
             seq = generate_sequence(NOISELESS, np.random.default_rng(i))
-            weights = seq.weights()
+            weights = seq.weights
             assert weights[0] == seq.statics.f_init
             assert weights[-1] == seq.statics.f_final
             assert np.all(np.diff(weights) <= 0.0)
 
     def test_angles_monotone_from_zero(self):
         seq = generate_sequence(NOISELESS, np.random.default_rng(5))
-        thetas = seq.thetas()
+        thetas = seq.thetas
         assert thetas[0] == 0.0
         assert np.all(np.diff(thetas) > 0.0)
 
@@ -71,7 +71,7 @@ class TestGenerateSequence:
         params = SynthParams(num_sequences=1, noise_std=0.5, seed=0)
         for i in range(10):
             seq = generate_sequence(params, np.random.default_rng(i))
-            assert np.all(seq.weights() >= seq.statics.f_empty)
+            assert np.all(seq.weights >= seq.statics.f_empty)
 
     def test_lengths_within_range(self):
         params = SynthParams(num_sequences=1, length_range=(6, 9), seed=0)
@@ -108,7 +108,7 @@ class TestGenerateDataset:
         for seq in seqs:
             s = seq.statics
             assert s.f_empty <= s.f_final <= s.f_init
-            assert np.all(seq.weights() >= 0.0)
+            assert np.all(seq.weights >= 0.0)
 
 
 class TestSynthParams:

@@ -231,7 +231,7 @@ class TestEvaluateModel:
         assert len(pairs) == 7
         for seq, (pred_curve, actual) in zip(dataset[:7], pairs):
             assert len(pred_curve) == len(seq)
-            assert np.array_equal(actual, seq.weights())
+            assert np.array_equal(actual, seq.weights)
 
     def test_empty_testset(self, dataset):
         config = small_config(epochs=1)
@@ -291,8 +291,8 @@ class TestExports:
         assert len(lines) == 1 + len(seq)
         t, theta, actual, predicted = lines[1].split(",")
         assert int(t) == 0
-        assert float(theta) == seq.steps[0].theta_deg
-        assert float(actual) == seq.steps[0].f_lbf
+        assert float(theta) == seq.thetas[0]
+        assert float(actual) == seq.weights[0]
         assert float(predicted) == curve[0]
 
     def test_prediction_export_length_mismatch(self, dataset):
