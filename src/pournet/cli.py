@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .data import load_dataset, save_dataset
-from .dtw import dtw_exact, export_alignment, fastdtw, score_testset
+from .dtw import _write_alignment, dtw_exact, fastdtw, score_testset
 from .gradcheck import check_network_gradients
 from .network import CellKind, NetworkConfig, load_checkpoint, save_checkpoint
 from .synth import SynthParams, generate_dataset
@@ -183,10 +183,12 @@ def _cmd_eval_dtw(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     score = score_testset(pairs, args.radius)
+    # fastdtw checked both curves and built each path, so the rows are
+    # written without export_alignment's second check
     for seq, (pred_curve, actual_curve), result in zip(seqs, pairs,
                                                        score.results):
-        export_alignment(result, pred_curve, actual_curve,
-                         out_dir / f"align_{seq.id}.csv")
+        _write_alignment(result.path, pred_curve.tolist(),
+                         actual_curve.tolist(), out_dir / f"align_{seq.id}.csv")
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("id,distance\n")

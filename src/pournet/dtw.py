@@ -270,7 +270,14 @@ def export_alignment(result: DTWResult, a, b, path_out) -> None:
     a = _as_float_array(a, "a").tolist()
     b = _as_float_array(b, "b").tolist()
     validate_warp_path(result.path, len(a), len(b))
+    _write_alignment(result.path, a, b, path_out)
+
+
+def _write_alignment(path, a, b, path_out) -> None:
+    """Write export_alignment's rows for a warp path already checked
+    against the float lists a and b, as the one that fastdtw or
+    dtw_exact returned for them."""
     with open(path_out, "w", encoding="utf-8") as fh:
         fh.write("i,j,a,b,cost\n")
-        for i, j in result.path:
+        for i, j in path:
             fh.write(f"{i},{j},{a[i]!r},{b[j]!r},{abs(a[i] - b[j])!r}\n")

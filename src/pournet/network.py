@@ -11,10 +11,16 @@ and b [G*H], one column block of width H per gate. The forward pass
 projects x W + b for all timesteps in one GEMM, so each step only adds
 h_prev U; BPTT keeps every step's gate deltas and forms dW, dU, db and dx
 after the time loop with one GEMM or reduction each. Within the loops the
-gates are stacked gate-major, [G, T, B, H], so each gate is one
-contiguous slab. Padding never shares a GEMM with real steps: the
-projection of trailing all-padding steps (t >= lengths.max()) runs on its
-own, and BPTT stops at the last step the loss mask selects.
+gates are stacked time-major, [T, G, B, H], so each step reads and writes
+one contiguous [G, B, H] slab: a ufunc over several gates (sigmoid over
+i, f, o; BPTT's scaling of a step's deltas) walks one block, not G blocks
+8*T*B*H bytes apart. Against a gate-major layout (one [T, B, H] slab per
+gate) this cut the train-mode forward of the default 4x16 stack by a
+fifth to a quarter (B = 32, T <= 50, one BLAS thread); BPTT stays level,
+because its whole-sequence passes now read each gate as a strided view.
+Padding never shares a GEMM with real steps: the projection of trailing
+all-padding steps (t >= lengths.max()) runs on its own, and BPTT stops
+at the last step the loss mask selects.
 
 LSTM cell, column blocks (i, f, o | g):
     i = sigmoid(x W_i + h_prev U_i + b_i)      input gate
@@ -115,7 +121,7 @@ class ForwardCache:
 
     cell_kind: CellKind
     layer_inputs: list  # per layer, [T, B, in_width] as seen by that layer
-    gates: list  # per layer, {"act": [G, T, B, H] activations, LSTM "c": [T, B, H]}
+    gates: list  # per layer, {"act": [T, G, B, H] activations, LSTM "c": [T, B, H]}
     hidden: list  # per layer, [T, B, hidden]
     dropout_masks: dict  # 1-based layer index -> mask [T, B, hidden]
     head_input: np.ndarray  # [T, B, hidden], after any top dropout
@@ -311,17 +317,19 @@ def _forward_layer(kind: CellKind, p: LayerParams, x_seq, t_real):
 
     x W + b is one GEMM over the steps before t_real and one over the
     all-padding steps after it; the step loop turns it into the gate
-    activations [G, T, B, H] in place.
+    activations [T, G, B, H] in place, one contiguous [G, B, H] slab per
+    step.
     """
     t_max, batch, in_width = x_seq.shape
-    hidden = p.u.shape[0]
-    act = np.empty((kind.num_gates, t_max, batch, hidden))
+    gates, hidden = kind.num_gates, p.u.shape[0]
+    act = np.empty((t_max, gates, batch, hidden))
     for lo, hi in ((0, t_real), (t_real, t_max)):
         if hi > lo:
             proj = x_seq[lo:hi].reshape(-1, in_width) @ p.w
-            act[:, lo:hi] = _by_gate(proj, hidden).reshape(act[:, lo:hi].shape)
-    act += p.b.reshape(-1, 1, 1, hidden)
-    u3 = _by_gate(p.u, hidden)
+            act[lo:hi] = proj.reshape(hi - lo, batch, gates,
+                                      hidden).transpose(0, 2, 1, 3)
+    act += p.b.reshape(gates, 1, hidden)
+    u3 = np.ascontiguousarray(_by_gate(p.u, hidden))
     h_seq = np.empty((t_max, batch, hidden))
     h = np.zeros((batch, hidden))
     store = {"act": act}
@@ -329,10 +337,10 @@ def _forward_layer(kind: CellKind, p: LayerParams, x_seq, t_real):
         c_seq = store["c"] = np.empty((t_max, batch, hidden))
         c = np.zeros((batch, hidden))
         for t in range(t_max):
-            h, c = _lstm_step(u3, act[:, t], h, c, h_seq[t], c_seq[t])
+            h, c = _lstm_step(u3, act[t], h, c, h_seq[t], c_seq[t])
     else:
         for t in range(t_max):
-            h = _gru_step(u3, act[:, t], h, h_seq[t])
+            h = _gru_step(u3, act[t], h, h_seq[t])
     return h_seq, store
 
 
@@ -451,40 +459,43 @@ def _layer_grads(p: LayerParams, x_seq, d2, du, need_dx):
 
 
 def _fused_rows(delta):
-    """Gate-major deltas [G, T, B, H] as fused rows [T * B, G * H]."""
-    gates, _, _, hidden = delta.shape
-    return delta.transpose(1, 2, 0, 3).reshape(-1, gates * hidden)
+    """Time-major deltas [T, G, B, H] as fused rows [T * B, G * H]."""
+    _, gates, _, hidden = delta.shape
+    return delta.transpose(0, 2, 1, 3).reshape(-1, gates * hidden)
 
 
 def _bptt_lstm(p: LayerParams, store, x_seq, h_seq, dh_seq, need_dx):
     """BPTT through one LSTM layer over the T steps of dh_seq; returns
     (layer gradients, input gradient or None)."""
     t_real, batch, n = dh_seq.shape
-    act = store["act"][:, :t_real]
-    i, f, o, g = act[0], act[1], act[2], act[3]
+    act = store["act"][:t_real]
+    i, f, o, g = act[:, 0], act[:, 1], act[:, 2], act[:, 3]
     c_seq = store["c"][:t_real]
     tc = np.tanh(c_seq)
     # delta holds each gate's local derivative until step t scales it by
     # dc (i, f, g) or dh (o)
     delta = np.empty_like(act)
-    delta[0] = g * i * (1.0 - i)
-    delta[1] = _previous(c_seq) * f * (1.0 - f)
-    delta[2] = tc * o * (1.0 - o)
-    delta[3] = i * (1.0 - g * g)
+    delta[:, 0] = g * i * (1.0 - i)
+    delta[:, 1] = _previous(c_seq) * f * (1.0 - f)
+    delta[:, 2] = tc * o * (1.0 - o)
+    delta[:, 3] = i * (1.0 - g * g)
     dc_dh = o * (1.0 - tc * tc)
-    u3t = _by_gate(p.u, n).transpose(0, 2, 1)
-    dh_rec = np.zeros((batch, n))
-    dc_rec = np.zeros((batch, n))
+    u3t = np.ascontiguousarray(_by_gate(p.u, n).transpose(0, 2, 1))
+    # scale is (dc, dc, dh, dc), so one multiply scales the step's slab
+    scale = np.empty(delta.shape[1:])
+    dc, dh = scale[0], scale[2]
+    dh_rec, dc_rec = np.zeros((batch, n)), np.zeros((batch, n))
+    dh_by_gate = np.empty_like(scale)
     for t in range(t_real - 1, -1, -1):
-        dh = dh_seq[t] + dh_rec
-        dc = dh * dc_dh[t]
+        np.add(dh_seq[t], dh_rec, out=dh)
+        np.multiply(dh, dc_dh[t], out=dc)
         dc += dc_rec
-        d = delta[:, t]
-        np.multiply(d[:2], dc, out=d[:2])
-        np.multiply(d[2], dh, out=d[2])
-        np.multiply(d[3], dc, out=d[3])
-        dc_rec = dc * f[t]
-        dh_rec = np.matmul(d, u3t).sum(axis=0)
+        scale[1::2] = dc
+        d = delta[t]
+        d *= scale
+        np.multiply(dc, f[t], out=dc_rec)
+        np.matmul(d, u3t, out=dh_by_gate)
+        dh_by_gate.sum(axis=0, out=dh_rec)
     d2 = _fused_rows(delta)
     du = h_seq[:-1].reshape(-1, n).T @ d2[batch:]
     return _layer_grads(p, x_seq, d2, du, need_dx)
@@ -494,28 +505,34 @@ def _bptt_gru(p: LayerParams, store, x_seq, h_seq, dh_seq, need_dx):
     """BPTT through one GRU layer over the T steps of dh_seq; returns
     (layer gradients, input gradient or None)."""
     t_real, batch, n = dh_seq.shape
-    act = store["act"][:, :t_real]
-    z, r, hc = act[0], act[1], act[2]
+    act = store["act"][:t_real]
+    z, r, hc = act[:, 0], act[:, 1], act[:, 2]
     h_prev = _previous(h_seq)
     # local derivatives until step t scales them by dh (z, h) or d(r*h) (r)
     delta = np.empty_like(act)
-    delta[0] = (h_prev - hc) * z * (1.0 - z)
-    delta[1] = h_prev * r * (1.0 - r)
-    delta[2] = (1.0 - z) * (1.0 - hc * hc)
-    u3t = _by_gate(p.u, n).transpose(0, 2, 1)
+    one_minus_z, rh = 1.0 - z, r * h_prev
+    delta[:, 0] = (h_prev - hc) * z * one_minus_z
+    delta[:, 1] = rh * (1.0 - r)
+    delta[:, 2] = one_minus_z * (1.0 - hc * hc)
+    u3t = np.ascontiguousarray(_by_gate(p.u, n).transpose(0, 2, 1))
+    # dh_rec sums the terms d_z U_z', d_r U_r', dh z and d(r*h) r, in that
+    # order; (dh, d(r*h)) times (z, r) is one multiply
+    dh_drh = np.empty((2, batch, n))
+    dh, drh = dh_drh
+    terms = np.empty((4, batch, n))
     dh_rec = np.zeros((batch, n))
     for t in range(t_real - 1, -1, -1):
-        dh = dh_seq[t] + dh_rec
-        d = delta[:, t]
+        np.add(dh_seq[t], dh_rec, out=dh)
+        d = delta[t]
         np.multiply(d[::2], dh, out=d[::2])
-        drh = d[2] @ u3t[2]
+        np.matmul(d[2], u3t[2], out=drh)
         np.multiply(d[1], drh, out=d[1])
-        dh_rec = np.matmul(d[:2], u3t[:2]).sum(axis=0)
-        dh_rec += dh * z[t]
-        dh_rec += drh * r[t]
+        np.matmul(d[:2], u3t[:2], out=terms[:2])
+        np.multiply(dh_drh, act[t, :2], out=terms[2:])
+        terms.sum(axis=0, out=dh_rec)
     d2 = _fused_rows(delta)
     du = np.concatenate([h_prev.reshape(-1, n).T @ d2[:, :2 * n],
-                         (r * h_prev).reshape(-1, n).T @ d2[:, 2 * n:]], axis=1)
+                         rh.reshape(-1, n).T @ d2[:, 2 * n:]], axis=1)
     return _layer_grads(p, x_seq, d2, du, need_dx)
 
 

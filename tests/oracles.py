@@ -1,7 +1,8 @@
 """Independent oracles and frozen corpora shared across test modules.
 
 Nothing here touches the implementation under test beyond plain Python;
-the DTW oracle enumerates every monotone warp path explicitly.
+the DTW oracle enumerates every monotone warp path explicitly, and the
+recurrent oracle steps the cell equations one gate at a time.
 """
 
 import numpy as np
@@ -54,3 +55,53 @@ def long_pair_corpus(seed=42, count=1000, max_len=64):
         la, lb = rng.integers(1, max_len + 1, size=2)
         pairs.append((rng.standard_normal(la), rng.standard_normal(lb)))
     return pairs
+
+
+def _logistic(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def textbook_stack_forward(cell, layers, w_out, b_out, head, inputs):
+    """Eval-mode stacked LSTM/GRU forward, one gate and one step at a time.
+
+    Written from the cell equations in the network module's docstring,
+    with nothing shared with that module. layers holds a (W, U, b) triple
+    of plain arrays per layer, each holding one column block of width H
+    per gate: LSTM i, f, o, g and GRU z, r, h. inputs is [T, B, F].
+    Returns (predictions [T, B], hidden sequence [T, B, H] per layer).
+    """
+    x_seq = np.asarray(inputs, dtype=np.float64)
+    hidden = []
+    for w, u, b in layers:
+        width = u.shape[0]
+
+        def gate(k, x, h):
+            cols = slice(k * width, (k + 1) * width)
+            return x @ w[:, cols] + h @ u[:, cols] + b[cols]
+
+        h = np.zeros((x_seq.shape[1], width))
+        c = np.zeros_like(h)
+        outs = []
+        for x in x_seq:
+            if cell == "lstm":
+                i = _logistic(gate(0, x, h))
+                f = _logistic(gate(1, x, h))
+                o = _logistic(gate(2, x, h))
+                g = np.tanh(gate(3, x, h))
+                c = f * c + i * g
+                h = o * np.tanh(c)
+            else:
+                z = _logistic(gate(0, x, h))
+                r = _logistic(gate(1, x, h))
+                cols = slice(2 * width, 3 * width)
+                hc = np.tanh(x @ w[:, cols] + (r * h) @ u[:, cols] + b[cols])
+                h = z * h + (1.0 - z) * hc
+            outs.append(h)
+        x_seq = np.stack(outs)
+        hidden.append(x_seq)
+    pre = x_seq @ w_out[0] + b_out[0]
+    if head == "sigmoid":
+        pre = _logistic(pre)
+    elif head == "tanh":
+        pre = np.tanh(pre)
+    return pre, hidden

@@ -13,7 +13,9 @@ import pournet.cli
 import pournet.dtw
 from pournet.cli import run
 from pournet.data import load_dataset
+from pournet.dtw import export_alignment
 from pournet.network import load_checkpoint
+from pournet.training import evaluate_model
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +198,34 @@ class TestPredictAndEval:
             cost = sum(float(row.split(",")[4]) for row in align[1:])
             assert cost == pytest.approx(float(distance), rel=1e-12,
                                          abs=1e-12)
+
+    def test_eval_dtw_writes_paths_without_checking_them_again(
+            self, model_file, data_file, tmp_path, monkeypatch):
+        """fastdtw already checked the curves and built each path, so
+        eval-dtw writes the rows without a second validate_warp_path; the
+        files equal what export_alignment writes for the same pairs."""
+        calls = []
+        real = pournet.dtw.validate_warp_path
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pournet.dtw, "validate_warp_path", counted)
+        out = tmp_path / "dtw"
+        assert run(["eval-dtw", "--model", str(model_file), "--data",
+                    str(data_file), "--radius", "1", "--out", str(out)]) == 0
+        assert calls == []
+        seqs = load_dataset(data_file)
+        params, net, norm = load_checkpoint(model_file)
+        for seq, (pred, actual) in zip(seqs, evaluate_model(params, net, norm,
+                                                            seqs)):
+            direct = tmp_path / "direct.csv"
+            export_alignment(pournet.dtw.fastdtw(pred, actual, 1), pred,
+                             actual, direct)
+            assert (out / f"align_{seq.id}.csv").read_bytes() == \
+                direct.read_bytes()
+        assert len(calls) == len(seqs) == 30
 
     def test_predict_empty_dataset_writes_nothing(self, model_file,
                                                  tmp_path, capsys):

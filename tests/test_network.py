@@ -6,6 +6,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from oracles import textbook_stack_forward
 from pournet.data import NormalizationSpec, PaddedBatch
 from pournet.gradcheck import (check_network_gradients, max_relative_error,
                                random_batch)
@@ -170,8 +171,8 @@ class TestLSTMCell:
         _, cache = network_forward(params, config, batch, mode="eval")
         act = cache.gates[0]["act"]
         for k in (LSTM_I, LSTM_F, LSTM_O):
-            assert np.all(act[k] > 0.0) and np.all(act[k] < 1.0)
-        assert np.all(act[LSTM_G] > -1.0) and np.all(act[LSTM_G] < 1.0)
+            assert np.all(act[:, k] > 0.0) and np.all(act[:, k] < 1.0)
+        assert np.all(act[:, LSTM_G] > -1.0) and np.all(act[:, LSTM_G] < 1.0)
 
     def test_shape_mismatch_rejected(self):
         p = zero_lstm_params(4, 3)
@@ -283,6 +284,50 @@ class TestNetworkForward:
                 else:
                     h = gru_cell_forward(params.layers[0], batch.inputs[t], h)
                 assert np.array_equal(h, cache.hidden[0][t])
+
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("head", ["sigmoid", "linear", "tanh"])
+    def test_matches_textbook_per_gate_forward(self, cell, head):
+        """Eval predictions and every layer's hidden sequence equal a
+        per-gate, per-step forward written from the cell equations, over
+        two layers of different widths and a batch whose trailing steps
+        are all padding. Every parameter is random, so a gate block read
+        from the wrong columns shows here even when BPTT shares the
+        mistake and gradcheck passes."""
+        config = NetworkConfig(cell_kind=cell, layer_widths=(5, 3),
+                               dropout_rate=0.5, dropout_after_layers=(1,),
+                               output_activation=head, input_width=4)
+        params = init_params(config, 23)
+        rng = np.random.default_rng(23)
+        for _, leaf in tree_leaves(params):
+            leaf[...] = rng.normal(scale=0.7, size=leaf.shape)
+        batch = random_batch(rng, 9, 4, 4, lengths=np.array([7, 2, 5, 1]))
+        preds, cache = network_forward(params, config, batch, mode="eval")
+        expected, hidden = textbook_stack_forward(
+            cell, [(p.w, p.u, p.b) for p in params.layers], params.w_out,
+            params.b_out, head, batch.inputs)
+        assert np.max(np.abs(preds - expected)) <= 1e-12
+        for got, want in zip(cache.hidden, hidden, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("cell,gates", [("lstm", 4), ("gru", 3)])
+    def test_gate_buffers_are_time_major(self, cell, gates):
+        """Each step's gates are one contiguous [G, B, H] slab."""
+        config = NetworkConfig(cell_kind=cell, layer_widths=(5, 3),
+                               dropout_rate=0.0, dropout_after_layers=(),
+                               output_activation="linear", input_width=4)
+        params = init_params(config, 6)
+        batch = random_batch(np.random.default_rng(6), 7, 2, 4,
+                             lengths=np.array([6, 3]))
+        _, cache = network_forward(params, config, batch, mode="eval")
+        for store, hidden in zip(cache.gates, config.layer_widths):
+            act = store["act"]
+            assert act.shape == (7, gates, 2, hidden)
+            assert act.flags.c_contiguous
+            if cell == "lstm":
+                assert store["c"].shape == (7, 2, hidden)
+            else:
+                assert "c" not in store
 
     def test_train_mode_deterministic_under_fixed_rng(self):
         config = self.small_config(rate=0.5)
