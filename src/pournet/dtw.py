@@ -273,11 +273,11 @@ def export_alignment(result: DTWResult, a, b, path_out) -> None:
     _write_alignment(result.path, a, b, path_out)
 
 
-def _write_alignment(path, a, b, path_out) -> None:
+def _write_alignment(warp_path, a, b, path_out) -> None:
     """Write export_alignment's rows for a warp path already checked
     against the float lists a and b, as the one that fastdtw or
     dtw_exact returned for them."""
     with open(path_out, "w", encoding="utf-8") as fh:
         fh.write("i,j,a,b,cost\n")
-        for i, j in path:
+        for i, j in warp_path:
             fh.write(f"{i},{j},{a[i]!r},{b[j]!r},{abs(a[i] - b[j])!r}\n")
