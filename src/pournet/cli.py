@@ -97,11 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval_dtw)
 
     p = sub.add_parser("gradcheck",
-                       help="verify BPTT against finite differences")
+                       help="verify BPTT against complex-step derivatives")
     p.add_argument("--seed", type=int, default=0,
                    help="batch/init seed (default: 0)")
-    p.add_argument("--eps", type=float, default=1e-5,
-                   help="finite-difference step (default: 1e-5)")
+    p.add_argument("--eps", type=float, default=1e-30,
+                   help="complex step h (default: 1e-30)")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="max relative error allowed (default: 1e-4)")
     p.set_defaults(func=_cmd_gradcheck)

@@ -39,9 +39,9 @@ GRU cell (note the update-gate convention), column blocks (z, r, h):
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
+import math
 import zipfile
 from dataclasses import dataclass
 from enum import Enum
@@ -108,11 +108,40 @@ class LayerParams:
     b: np.ndarray  # bias [gates * hidden]
 
 
-@dataclass
+def param_layout(config: NetworkConfig) -> tuple:
+    """(name, shape) of every parameter leaf in arena and checkpoint order:
+    layers[i].w, .u and .b from the bottom layer up, then w_out, b_out."""
+    widths, layout = (config.input_width, *config.layer_widths), []
+    for i, (in_width, hidden) in enumerate(zip(widths, widths[1:])):
+        width = config.cell_kind.num_gates * hidden
+        layout += [(f"layers[{i}].w", (in_width, width)),
+                   (f"layers[{i}].u", (hidden, width)),
+                   (f"layers[{i}].b", (width,))]
+    return (*layout, ("w_out", (1, widths[-1])), ("b_out", (1,)))
+
+
 class NetworkParams:
-    layers: list  # LayerParams, bottom to top
-    w_out: np.ndarray  # dense head weights [1, hidden]
-    b_out: np.ndarray  # dense head bias [1]
+    """Every parameter of one stack in one contiguous 1-D vector.
+
+    layers[i].w/.u/.b, w_out and b_out are reshaped views into vector in
+    layout order, so a write through a view changes the vector and one
+    ufunc on the vector reaches every parameter. leaves lists each
+    (name, view) in that order. vector defaults to zeros.
+    """
+
+    def __init__(self, layout: tuple, vector=None):
+        size = sum(math.prod(shape) for _, shape in layout)
+        self.vector = np.zeros(size) if vector is None else vector
+        if self.vector.shape != (size,):
+            raise ValueError(f"layout needs {size} entries, got {self.vector.shape}")
+        self.layout, self.leaves, end = layout, [], 0
+        for name, shape in layout:
+            start, end = end, end + math.prod(shape)
+            self.leaves.append((name, self.vector[start:end].reshape(shape)))
+        views = [view for _, view in self.leaves]
+        self.layers = [LayerParams(*views[k:k + 3])
+                       for k in range(0, len(views) - 2, 3)]
+        self.w_out, self.b_out = views[-2:]
 
 
 @dataclass
@@ -126,47 +155,6 @@ class ForwardCache:
     dropout_masks: dict  # 1-based layer index -> mask [T, B, hidden]
     head_input: np.ndarray  # [T, B, hidden], after any top dropout
     predictions: np.ndarray  # [T, B]
-
-
-# ---------------------------------------------------------------------------
-# parameter trees
-
-def tree_map(fn, *trees):
-    """Apply fn leafwise across structurally congruent parameter trees."""
-    head = trees[0]
-    if isinstance(head, np.ndarray):
-        return fn(*trees)
-    if dataclasses.is_dataclass(head):
-        if any(type(t) is not type(head) for t in trees[1:]):
-            raise ValueError("parameter trees are not structurally congruent")
-        return type(head)(**{
-            f.name: tree_map(fn, *(getattr(t, f.name) for t in trees))
-            for f in dataclasses.fields(head)})
-    if isinstance(head, (list, tuple)):
-        if any(len(t) != len(head) for t in trees[1:]):
-            raise ValueError("parameter trees are not structurally congruent")
-        mapped = [tree_map(fn, *items) for items in zip(*trees)]
-        return type(head)(mapped) if isinstance(head, tuple) else mapped
-    raise TypeError(f"unsupported tree node {type(head).__name__}")
-
-
-def tree_leaves(tree, prefix=""):
-    """Yield (path, array) pairs in a stable depth-first order."""
-    if isinstance(tree, np.ndarray):
-        yield prefix, tree
-    elif dataclasses.is_dataclass(tree):
-        for f in dataclasses.fields(tree):
-            sub = f"{prefix}.{f.name}" if prefix else f.name
-            yield from tree_leaves(getattr(tree, f.name), sub)
-    elif isinstance(tree, (list, tuple)):
-        for i, item in enumerate(tree):
-            yield from tree_leaves(item, f"{prefix}[{i}]")
-    else:
-        raise TypeError(f"unsupported tree node {type(tree).__name__}")
-
-
-def zeros_like_params(tree):
-    return tree_map(np.zeros_like, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -204,48 +192,36 @@ def _orthogonal(rng, n):
     return q * signs
 
 
-def _init_layer(rng, kind: CellKind, hidden, in_width) -> LayerParams:
+def _init_layer(rng, kind: CellKind, p: LayerParams) -> None:
     """Draw each gate's (w, u) pair in the order LSTM i, f, g, o / GRU z, r,
-    h, then fuse the transposed blocks into the layer's column order."""
+    h, then write the transposed blocks into p in the layer's column order."""
+    in_width, hidden = p.w.shape[0], p.u.shape[0]
     draws = [(_glorot(rng, (hidden, in_width)).T, _orthogonal(rng, hidden).T)
              for _ in range(kind.num_gates)]
-    b = np.zeros(kind.num_gates * hidden)
     if kind is CellKind.LSTM:
         draws = [draws[k] for k in (0, 1, 3, 2)]
-        b[hidden:2 * hidden] = 1.0  # forget gate starts open
-    return LayerParams(w=np.concatenate([w for w, _ in draws], axis=1),
-                       u=np.concatenate([u for _, u in draws], axis=1), b=b)
+        p.b[hidden:2 * hidden] = 1.0  # forget gate starts open
+    np.concatenate([w for w, _ in draws], axis=1, out=p.w)
+    np.concatenate([u for _, u in draws], axis=1, out=p.u)
 
 
 def init_params(config: NetworkConfig, seed: int) -> NetworkParams:
     """Glorot-uniform input weights, orthogonal recurrent weights, zero
     biases except the LSTM forget gate which starts at 1.0."""
     rng = np.random.default_rng(seed)
-    layers = []
-    in_width = config.input_width
-    for hidden in config.layer_widths:
-        layers.append(_init_layer(rng, config.cell_kind, hidden, in_width))
-        in_width = hidden
-    w_out = _glorot(rng, (1, config.layer_widths[-1]))
-    b_out = np.zeros(1, dtype=np.float64)
-    return NetworkParams(layers=layers, w_out=w_out, b_out=b_out)
+    params = NetworkParams(param_layout(config))
+    for layer in params.layers:
+        _init_layer(rng, config.cell_kind, layer)
+    params.w_out[...] = _glorot(rng, params.w_out.shape)
+    return params
 
 
 def validate_params(params: NetworkParams, config: NetworkConfig) -> None:
-    """Raise if the parameter tree does not fit the configuration."""
-    if len(params.layers) != config.num_layers:
-        raise ValueError(f"expected {config.num_layers} layers, "
-                         f"got {len(params.layers)}")
-    in_width = config.input_width
-    for idx, (layer, hidden) in enumerate(zip(params.layers, config.layer_widths)):
-        width = config.cell_kind.num_gates * hidden
-        if not isinstance(layer, LayerParams) or layer.w.shape != (in_width, width) \
-                or layer.u.shape != (hidden, width) or layer.b.shape != (width,):
-            raise ValueError(f"layer {idx} does not hold {config.cell_kind.value} "
-                             f"weights of width {hidden} over {in_width} inputs")
-        in_width = hidden
-    if params.w_out.shape != (1, config.layer_widths[-1]) or params.b_out.shape != (1,):
-        raise ValueError("dense head shapes do not match the configuration")
+    """Raise if the parameters do not have the configuration's layout."""
+    if params.layout != param_layout(config):
+        raise ValueError(f"parameters do not fit a {config.cell_kind.value} "
+                         f"stack of widths {config.layer_widths} over "
+                         f"{config.input_width} inputs")
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +294,13 @@ def _forward_layer(kind: CellKind, p: LayerParams, x_seq, t_real):
     x W + b is one GEMM over the steps before t_real and one over the
     all-padding steps after it; the step loop turns it into the gate
     activations [T, G, B, H] in place, one contiguous [G, B, H] slab per
-    step.
+    step. Buffers take the dtype of x_seq and p, so a complex-step probe
+    stays complex and a float64 run stays float64.
     """
     t_max, batch, in_width = x_seq.shape
     gates, hidden = kind.num_gates, p.u.shape[0]
-    act = np.empty((t_max, gates, batch, hidden))
+    dtype = np.result_type(x_seq, p.w)
+    act = np.empty((t_max, gates, batch, hidden), dtype)
     for lo, hi in ((0, t_real), (t_real, t_max)):
         if hi > lo:
             proj = x_seq[lo:hi].reshape(-1, in_width) @ p.w
@@ -330,12 +308,12 @@ def _forward_layer(kind: CellKind, p: LayerParams, x_seq, t_real):
                                       hidden).transpose(0, 2, 1, 3)
     act += p.b.reshape(gates, 1, hidden)
     u3 = np.ascontiguousarray(_by_gate(p.u, hidden))
-    h_seq = np.empty((t_max, batch, hidden))
-    h = np.zeros((batch, hidden))
+    h_seq = np.empty((t_max, batch, hidden), dtype)
+    h = np.zeros((batch, hidden), dtype)
     store = {"act": act}
     if kind is CellKind.LSTM:
-        c_seq = store["c"] = np.empty((t_max, batch, hidden))
-        c = np.zeros((batch, hidden))
+        c_seq = store["c"] = np.empty((t_max, batch, hidden), dtype)
+        c = np.zeros((batch, hidden), dtype)
         for t in range(t_max):
             h, c = _lstm_step(u3, act[t], h, c, h_seq[t], c_seq[t])
     else:
@@ -400,7 +378,8 @@ def network_forward(params: NetworkParams, config: NetworkConfig, batch,
 
 def network_backward(params: NetworkParams, config: NetworkConfig,
                      cache: ForwardCache, dloss_dpred, mask) -> NetworkParams:
-    """Exact gradients of the masked loss w.r.t. every parameter.
+    """Exact gradients of the masked loss w.r.t. every parameter, in an
+    arena of the parameters' layout.
 
     Steps after the last one the mask selects carry exactly zero
     gradient, so every sum over time stops there.
@@ -414,9 +393,10 @@ def network_backward(params: NetworkParams, config: NetworkConfig,
     mask = np.asarray(mask, dtype=np.float64)
     if dloss_dpred.shape != cache.predictions.shape or mask.shape != dloss_dpred.shape:
         raise ValueError("dloss_dpred and mask must match the predictions")
+    grads = NetworkParams(params.layout)
     selected = np.flatnonzero(mask.any(axis=1))
     if selected.size == 0:
-        return zeros_like_params(params)
+        return grads
     t_real = int(selected[-1]) + 1
 
     dpred = dloss_dpred[:t_real] * mask[:t_real]
@@ -428,20 +408,18 @@ def network_backward(params: NetworkParams, config: NetworkConfig,
     else:
         dz = dpred
     head_input = cache.head_input[:t_real]
-    dw_out = dz.reshape(1, -1) @ head_input.reshape(-1, head_input.shape[2])
-    db_out = np.array([np.sum(dz)])
+    grads.w_out[...] = dz.reshape(1, -1) @ head_input.reshape(-1, head_input.shape[2])
+    grads.b_out[0] = np.sum(dz)
     dh_above = dz[:, :, None] * params.w_out[0]
 
     bptt = _bptt_lstm if config.cell_kind is CellKind.LSTM else _bptt_gru
-    layer_grads = [None] * config.num_layers
     for idx in range(config.num_layers, 0, -1):
         if idx in cache.dropout_masks:
             dh_above = dh_above * cache.dropout_masks[idx][:t_real]
-        layer_grads[idx - 1], dh_above = bptt(
-            params.layers[idx - 1], cache.gates[idx - 1],
-            cache.layer_inputs[idx - 1][:t_real], cache.hidden[idx - 1][:t_real],
-            dh_above, need_dx=idx > 1)
-    return NetworkParams(layers=layer_grads, w_out=dw_out, b_out=db_out)
+        dh_above = bptt(params.layers[idx - 1], grads.layers[idx - 1],
+                        cache.gates[idx - 1], cache.layer_inputs[idx - 1][:t_real],
+                        cache.hidden[idx - 1][:t_real], dh_above, need_dx=idx > 1)
+    return grads
 
 
 def _previous(seq):
@@ -449,13 +427,13 @@ def _previous(seq):
     return np.concatenate([np.zeros_like(seq[:1]), seq[:-1]])
 
 
-def _layer_grads(p: LayerParams, x_seq, d2, du, need_dx):
-    """Gradients of one layer and of its input from the gate deltas in
-    fused row layout [T * B, G * H], with one GEMM or reduction each."""
-    grads = LayerParams(w=x_seq.reshape(-1, x_seq.shape[2]).T @ d2, u=du,
-                        b=d2.sum(axis=0))
-    dx = (d2 @ p.w.T).reshape(x_seq.shape) if need_dx else None
-    return grads, dx
+def _layer_grads(p: LayerParams, grads, x_seq, d2, need_dx):
+    """Write dW and db into grads from the gate deltas in fused row layout
+    [T * B, G * H], with one GEMM or reduction each; returns the input
+    gradient, or None."""
+    grads.w[...] = x_seq.reshape(-1, x_seq.shape[2]).T @ d2
+    grads.b[...] = d2.sum(axis=0)
+    return (d2 @ p.w.T).reshape(x_seq.shape) if need_dx else None
 
 
 def _fused_rows(delta):
@@ -464,9 +442,9 @@ def _fused_rows(delta):
     return delta.transpose(0, 2, 1, 3).reshape(-1, gates * hidden)
 
 
-def _bptt_lstm(p: LayerParams, store, x_seq, h_seq, dh_seq, need_dx):
-    """BPTT through one LSTM layer over the T steps of dh_seq; returns
-    (layer gradients, input gradient or None)."""
+def _bptt_lstm(p: LayerParams, grads, store, x_seq, h_seq, dh_seq, need_dx):
+    """BPTT through one LSTM layer over the T steps of dh_seq; writes the
+    layer's gradients into grads and returns the input gradient or None."""
     t_real, batch, n = dh_seq.shape
     act = store["act"][:t_real]
     i, f, o, g = act[:, 0], act[:, 1], act[:, 2], act[:, 3]
@@ -497,13 +475,13 @@ def _bptt_lstm(p: LayerParams, store, x_seq, h_seq, dh_seq, need_dx):
         np.matmul(d, u3t, out=dh_by_gate)
         dh_by_gate.sum(axis=0, out=dh_rec)
     d2 = _fused_rows(delta)
-    du = h_seq[:-1].reshape(-1, n).T @ d2[batch:]
-    return _layer_grads(p, x_seq, d2, du, need_dx)
+    grads.u[...] = h_seq[:-1].reshape(-1, n).T @ d2[batch:]
+    return _layer_grads(p, grads, x_seq, d2, need_dx)
 
 
-def _bptt_gru(p: LayerParams, store, x_seq, h_seq, dh_seq, need_dx):
-    """BPTT through one GRU layer over the T steps of dh_seq; returns
-    (layer gradients, input gradient or None)."""
+def _bptt_gru(p: LayerParams, grads, store, x_seq, h_seq, dh_seq, need_dx):
+    """BPTT through one GRU layer over the T steps of dh_seq; writes the
+    layer's gradients into grads and returns the input gradient or None."""
     t_real, batch, n = dh_seq.shape
     act = store["act"][:t_real]
     z, r, hc = act[:, 0], act[:, 1], act[:, 2]
@@ -531,36 +509,30 @@ def _bptt_gru(p: LayerParams, store, x_seq, h_seq, dh_seq, need_dx):
         np.multiply(dh_drh, act[t, :2], out=terms[2:])
         terms.sum(axis=0, out=dh_rec)
     d2 = _fused_rows(delta)
-    du = np.concatenate([h_prev.reshape(-1, n).T @ d2[:, :2 * n],
-                         rh.reshape(-1, n).T @ d2[:, 2 * n:]], axis=1)
-    return _layer_grads(p, x_seq, d2, du, need_dx)
+    grads.u[:, :2 * n] = h_prev.reshape(-1, n).T @ d2[:, :2 * n]
+    grads.u[:, 2 * n:] = rh.reshape(-1, n).T @ d2[:, 2 * n:]
+    return _layer_grads(p, grads, x_seq, d2, need_dx)
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracle
+# complex-step oracle
 
-def numerical_gradient(params: NetworkParams, config: NetworkConfig, batch,
-                       loss_fn, epsilon: float = 1e-5) -> NetworkParams:
-    """Central-difference gradient of loss_fn(predictions) per parameter.
-
-    Runs eval-mode forwards, so compare against backward passes computed
-    with dropout disabled. Parameters are perturbed in place and restored.
+def numerical_gradient(params: NetworkParams, loss_fn,
+                       epsilon: float = 1e-30) -> NetworkParams:
+    """Complex-step gradient Im loss_fn(x + i epsilon e_k) / epsilon of
+    loss_fn(params) per entry k of a complex128 copy of the arena (Martins,
+    Sturdza & Alonso, ACM TOMS 29(3), 2003): nothing is subtracted, so it
+    is exact to rounding. loss_fn must keep imaginary parts, so it cannot
+    call mse_loss, which casts to float64. params is not modified.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    grads = zeros_like_params(params)
-    leaves = list(tree_leaves(params))
-    grad_leaves = dict(tree_leaves(grads))
-    for path, arr in leaves:
-        out = grad_leaves[path]
-        for k in range(arr.size):
-            orig = arr.flat[k]
-            arr.flat[k] = orig + epsilon
-            loss_plus = loss_fn(network_forward(params, config, batch, mode="eval")[0])
-            arr.flat[k] = orig - epsilon
-            loss_minus = loss_fn(network_forward(params, config, batch, mode="eval")[0])
-            arr.flat[k] = orig
-            out.flat[k] = (loss_plus - loss_minus) / (2.0 * epsilon)
+    probe = NetworkParams(params.layout, params.vector.astype(np.complex128))
+    grads = NetworkParams(params.layout)
+    for k in range(grads.vector.size):
+        probe.vector[k] += 1j * epsilon
+        grads.vector[k] = np.imag(loss_fn(probe)) / epsilon
+        probe.vector[k] = params.vector[k]
     return grads
 
 
@@ -594,7 +566,7 @@ def save_checkpoint(path, params: NetworkParams, config: NetworkConfig,
     }
     entries = [("norm_input_mean", norm.input_mean),
                ("norm_input_std", norm.input_std)]
-    entries.extend(tree_leaves(params))
+    entries.extend(params.leaves)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         info = zipfile.ZipInfo(_CHECKPOINT_META, date_time=(1980, 1, 1, 0, 0, 0))
         zf.writestr(info, json.dumps(meta, sort_keys=True))
@@ -608,25 +580,34 @@ def save_checkpoint(path, params: NetworkParams, config: NetworkConfig,
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, config, normalization spec).
 
-    Raises ValueError naming the file for another format or a missing
-    metadata key or array.
+    Raises ValueError naming the file for content it cannot read or that
+    is incomplete or invalid; a parameter array must be finite float64 of
+    its layout shape, and the message names a bad one.
     """
-    with zipfile.ZipFile(path, "r") as zf:
-        meta = json.loads(zf.read(_CHECKPOINT_META).decode("utf-8"))
-        arrays = {}
-        for name in zf.namelist():
-            if name.endswith(".npy"):
-                arrays[name[:-4]] = _npy_format.read_array(
-                    io.BytesIO(zf.read(name)))
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            return _read_checkpoint(zf)
+    except (zipfile.BadZipFile, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_checkpoint(zf: zipfile.ZipFile):
+    if _CHECKPOINT_META not in zf.namelist():
+        raise ValueError(f"checkpoint has no {_CHECKPOINT_META}")
+    meta = json.loads(zf.read(_CHECKPOINT_META).decode("utf-8"))
+    arrays = {}
+    for name in zf.namelist():
+        if name.endswith(".npy"):
+            arrays[name[:-4]] = _npy_format.read_array(io.BytesIO(zf.read(name)))
     found = meta.get("format") if isinstance(meta, dict) else None
     if found != _CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: checkpoint format {found!r} is not "
+        raise ValueError(f"checkpoint format {found!r} is not "
                          f"{_CHECKPOINT_FORMAT!r}")
     entries = {**arrays, **meta}
 
     def need(key):
         if key not in entries:
-            raise ValueError(f"{path}: checkpoint is missing {key!r}")
+            raise ValueError(f"checkpoint is missing {key!r}")
         return entries[key]
 
     config = NetworkConfig(cell_kind=need("cell_kind"),
@@ -641,11 +622,13 @@ def load_checkpoint(path):
                              target_max=need("norm_target_max"),
                              input_mean=need("norm_input_mean"),
                              input_std=need("norm_input_std"))
-    layers = [LayerParams(*(need(f"layers[{i}].{k}") for k in "wub"))
-              for i in range(config.num_layers)]
-    params = NetworkParams(layers=layers, w_out=need("w_out"), b_out=need("b_out"))
-    validate_params(params, config)
-    for path_name, leaf in tree_leaves(params):
+    params = NetworkParams(param_layout(config))
+    for name, view in params.leaves:
+        leaf = np.asarray(need(name))
+        if leaf.dtype != np.float64 or leaf.shape != view.shape:
+            raise ValueError(f"checkpoint array {name} is {leaf.dtype} "
+                             f"{leaf.shape}, not float64 {view.shape}")
         if not np.isfinite(leaf).all():
-            raise ValueError(f"checkpoint array {path_name} is not finite")
+            raise ValueError(f"checkpoint array {name} is not finite")
+        view[...] = leaf
     return params, config, norm

@@ -10,7 +10,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .network import tree_leaves, tree_map, zeros_like_params
+from .network import NetworkParams
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam defaults, Kingma & Ba 1412.6980
 
 
 class NonFiniteGradientError(ArithmeticError):
@@ -46,36 +48,41 @@ def mse_loss(pred, target, mask):
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators plus the step counter."""
+    """First/second-moment vectors plus the step counter."""
 
-    m: object  # same tree structure as the parameters
-    v: object
+    m: np.ndarray  # shaped like the parameter vector
+    v: np.ndarray
     t: int = 0
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(params, lr: float = 0.01, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(m=zeros_like_params(params), v=zeros_like_params(params),
-                     t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def init_adam(params, lr: float = 0.01) -> AdamState:
+    p = params.vector if isinstance(params, NetworkParams) else params
+    return AdamState(m=np.zeros_like(p), v=np.zeros_like(p), t=0, lr=lr)
 
 
 def adam_step(state: AdamState, params, grads):
-    """One Adam update; returns (new state, new params), inputs untouched."""
-    for path, g in tree_leaves(grads):
-        if not np.isfinite(g).all():
-            raise NonFiniteGradientError(f"non-finite gradient at {path}")
-    t_new = state.t + 1
-    b1, b2 = state.beta1, state.beta2
-    m_new = tree_map(lambda m, g: b1 * m + (1.0 - b1) * g, state.m, grads)
-    v_new = tree_map(lambda v, g: b2 * v + (1.0 - b2) * g * g, state.v, grads)
-    bc1 = 1.0 - b1 ** t_new
-    bc2 = 1.0 - b2 ** t_new
-    lr, eps = state.lr, state.eps
-    params_new = tree_map(
-        lambda p, m, v: p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps),
-        params, m_new, v_new)
-    return replace(state, m=m_new, v=v_new, t=t_new), params_new
+    """One Adam update; returns (new state, new params), inputs untouched.
+
+    params and grads are NetworkParams of one layout or plain float64
+    arrays of one shape; the update is a few ufuncs on the whole vector.
+    """
+    arena = isinstance(params, NetworkParams)
+    if arena and not (isinstance(grads, NetworkParams)
+                      and grads.layout == params.layout):
+        raise ValueError("gradients do not have the parameters' layout")
+    p, g = (params.vector, grads.vector) if arena else (params, grads)
+    # a finite sum of squares proves every entry finite; only a NaN, an
+    # infinity or an overflow of the sum sends the scan through the leaves
+    if not np.isfinite(np.vdot(g, g)):
+        for path, leaf in grads.leaves if arena else [("the gradient", g)]:
+            if not np.isfinite(leaf).all():
+                raise NonFiniteGradientError(f"non-finite gradient at {path}")
+    t = state.t + 1
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+    p = p - state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    if arena:
+        p = NetworkParams(params.layout, p)
+    return replace(state, m=m, v=v, t=t), p

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import fit_normalization, pad_and_batch, split_dataset
-from .network import (NetworkConfig, network_backward, network_forward,
-                      init_params, tree_map)
+from .network import (NetworkConfig, NetworkParams, network_backward,
+                      network_forward, init_params)
 from .optim import NonFiniteGradientError, adam_step, init_adam, mse_loss
 
 # Sequences per eval-mode forward pass in predict. Wider chunks are no
@@ -139,7 +139,7 @@ def train(dataset, config: TrainConfig):
         val_losses.append(val_loss)
         epoch_seconds.append(time.perf_counter() - tic)
         if config.keep_best_validation and (best is None or val_loss < best[0]):
-            best = (val_loss, tree_map(np.copy, params))
+            best = (val_loss, NetworkParams(params.layout, params.vector.copy()))
 
     if best is not None:
         params = best[1]

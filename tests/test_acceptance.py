@@ -25,7 +25,7 @@ from pournet.data import PaddedBatch, split_dataset
 from pournet.dtw import dtw_exact, fastdtw
 from pournet.gradcheck import check_network_gradients, random_batch
 from pournet.network import (NetworkConfig, init_params, network_backward,
-                             network_forward, tree_leaves)
+                             network_forward)
 from pournet.optim import mse_loss
 from pournet.synth import SynthParams, generate_dataset
 from pournet.training import TrainConfig, train
@@ -145,7 +145,7 @@ def test_criterion_6_padding_invariance():
         assert loss == loss2, f"case {seed}: masked loss changed"
         grads = network_backward(params, config, cache, dpred, batch.mask)
         grads2 = network_backward(params, config, cache2, dpred2, doubled.mask)
-        for (path, g), (_, g2) in zip(tree_leaves(grads), tree_leaves(grads2)):
+        for (path, g), (_, g2) in zip(grads.leaves, grads2.leaves):
             assert np.array_equal(g, g2), f"case {seed}: gradient {path} changed"
         cases += 1
     assert cases >= 20

@@ -1,5 +1,6 @@
 """Recurrent core: cells, stacked forward, BPTT, dropout, checkpoints."""
 
+import io
 import json
 import zipfile
 
@@ -8,14 +9,13 @@ import pytest
 
 from oracles import textbook_stack_forward
 from pournet.data import NormalizationSpec, PaddedBatch
-from pournet.gradcheck import (check_network_gradients, max_relative_error,
-                               random_batch)
+from pournet.gradcheck import (check_network_gradients, masked_mse,
+                               max_relative_error, random_batch)
 from pournet.network import (CellKind, ForwardCache,
-                             NetworkConfig, gru_cell_forward,
+                             NetworkConfig, NetworkParams, gru_cell_forward,
                              init_params, load_checkpoint, lstm_cell_forward,
                              network_backward, network_forward,
-                             numerical_gradient, save_checkpoint, sigmoid,
-                             tree_leaves, tree_map, zeros_like_params)
+                             numerical_gradient, save_checkpoint, sigmoid)
 from pournet.optim import mse_loss
 
 
@@ -30,24 +30,23 @@ def block(a, k, hidden):
 
 
 def trees_equal(a, b):
-    return all(np.array_equal(x, y)
-               for (_, x), (_, y) in zip(tree_leaves(a), tree_leaves(b)))
+    def arrays(p):
+        return (p.vector,) if isinstance(p, NetworkParams) else (p.w, p.u, p.b)
+    return all(np.array_equal(x, y) for x, y in zip(arrays(a), arrays(b)))
 
 
 def zero_lstm_params(hidden, in_width):
     config = NetworkConfig(cell_kind="lstm", layer_widths=(hidden,),
                            dropout_rate=0.0, dropout_after_layers=(),
                            output_activation="linear", input_width=in_width)
-    params = init_params(config, 0)
-    return tree_map(np.zeros_like, params.layers[0])
+    return NetworkParams(init_params(config, 0).layout).layers[0]
 
 
 def zero_gru_params(hidden, in_width):
     config = NetworkConfig(cell_kind="gru", layer_widths=(hidden,),
                            dropout_rate=0.0, dropout_after_layers=(),
                            output_activation="linear", input_width=in_width)
-    params = init_params(config, 0)
-    return tree_map(np.zeros_like, params.layers[0])
+    return NetworkParams(init_params(config, 0).layout).layers[0]
 
 
 class TestNetworkConfig:
@@ -127,6 +126,50 @@ class TestInitParams:
         params = init_params(config, 1)
         limit = np.sqrt(6.0 / (8 + 4))
         assert np.all(np.abs(block(params.layers[0].w, GRU_Z, 8)) <= limit)
+
+
+class TestParamArena:
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_leaves_are_views_of_one_vector_in_checkpoint_order(
+            self, cell, tmp_path):
+        config = NetworkConfig(cell_kind=cell, layer_widths=(4, 3),
+                               dropout_rate=0.0, dropout_after_layers=(),
+                               output_activation="tanh", input_width=5)
+        params = init_params(config, 31)
+        batch = random_batch(np.random.default_rng(31), 5, 3, 5)
+        preds, cache = network_forward(params, config, batch)
+        _, dpred = mse_loss(preds, batch.targets, batch.mask)
+        grads = network_backward(params, config, cache, dpred, batch.mask)
+        path = tmp_path / "model.npz"
+        norm = NormalizationSpec(mode="tanh", target_min=0.0, target_max=1.0,
+                                 input_mean=np.zeros(9), input_std=np.ones(9))
+        save_checkpoint(path, params, config, norm)
+        with zipfile.ZipFile(path) as zf:
+            entries = [n[:-4] for n in zf.namelist() if n.endswith(".npy")]
+        assert entries[2:] == [name for name, _ in params.leaves]
+        for arena in (params, grads):
+            vector = arena.vector
+            assert vector.dtype == np.float64 and vector.ndim == 1
+            assert vector.flags.c_contiguous
+            assert arena.layout == params.layout
+            named = [a for layer in arena.layers
+                     for a in (layer.w, layer.u, layer.b)]
+            assert all(view is leaf for view, (_, leaf) in
+                       zip(named + [arena.w_out, arena.b_out], arena.leaves,
+                           strict=True))
+            offset = 0
+            for _, leaf in arena.leaves:
+                assert leaf.base is vector
+                assert np.shares_memory(leaf, vector[offset:offset + leaf.size])
+                offset += leaf.size
+            assert offset == vector.size
+
+    def test_write_through_layer_view_changes_vector(self):
+        params = init_params(NetworkConfig(cell_kind="gru"), 32)
+        before = params.vector.copy()
+        params.layers[1].u[2, 5] = 7.5
+        changed = np.flatnonzero(params.vector != before)
+        assert changed.size == 1 and params.vector[changed[0]] == 7.5
 
 
 class TestSigmoid:
@@ -299,7 +342,7 @@ class TestNetworkForward:
                                output_activation=head, input_width=4)
         params = init_params(config, 23)
         rng = np.random.default_rng(23)
-        for _, leaf in tree_leaves(params):
+        for _, leaf in params.leaves:
             leaf[...] = rng.normal(scale=0.7, size=leaf.shape)
         batch = random_batch(rng, 9, 4, 4, lengths=np.array([7, 2, 5, 1]))
         preds, cache = network_forward(params, config, batch, mode="eval")
@@ -437,6 +480,33 @@ class TestDropout:
         assert abs(np.sum(mean - reference)) <= 3.0 * global_se
 
 
+def dropout_mask_gradient_error(cell, head, seed):
+    """Max relative BPTT-vs-complex-step error under fixed dropout masks.
+
+    Every train-mode forward draws from a fresh rng with one seed, so the
+    masks are the same on every call and the loss is a smooth function
+    of the parameters. Masks zero half of the units, so some gradient
+    entries are tiny.
+    """
+    config = NetworkConfig(cell_kind=cell, layer_widths=(3, 3),
+                           dropout_rate=0.5, dropout_after_layers=(1, 2),
+                           output_activation=head, input_width=3)
+    params = init_params(config, seed)
+    batch = random_batch(np.random.default_rng(seed), 4, 2, 3)
+
+    def forward(p):
+        return network_forward(p, config, batch, mode="train",
+                               rng=np.random.default_rng(99))
+
+    preds, cache = forward(params)
+    assert any(np.any(m == 0.0) for m in cache.dropout_masks.values())
+    _, dpred = mse_loss(preds, batch.targets, batch.mask)
+    analytic = network_backward(params, config, cache, dpred, batch.mask)
+    numeric = numerical_gradient(
+        params, lambda p: masked_mse(forward(p)[0], batch))
+    return max_relative_error(analytic, numeric)
+
+
 class TestNetworkBackward:
     def test_zero_upstream_zero_grads(self):
         config = NetworkConfig(cell_kind="lstm", layer_widths=(4, 4),
@@ -447,7 +517,7 @@ class TestNetworkBackward:
         _, cache = network_forward(params, config, batch, mode="eval")
         grads = network_backward(params, config, cache,
                                  np.zeros_like(batch.targets), batch.mask)
-        assert trees_equal(grads, zeros_like_params(params))
+        assert trees_equal(grads, NetworkParams(params.layout))
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     def test_matches_finite_differences(self, cell):
@@ -458,47 +528,7 @@ class TestNetworkBackward:
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     def test_matches_finite_differences_under_fixed_dropout_masks(self, cell,
                                                                   head):
-        """Every train-mode forward draws from a fresh rng with one seed,
-        so the masks are the same on every call and the loss is a smooth
-        function of the parameters.
-
-        Masks zero half of the units, so some gradient entries are tiny.
-        Where one is 1e-8 or below, the rounding error of the central
-        difference can exceed the tolerance (seeds 3 and 9 do this for
-        LSTM), so the case uses seed 0, whose smallest entries are larger.
-        """
-        config = NetworkConfig(cell_kind=cell, layer_widths=(3, 3),
-                               dropout_rate=0.5, dropout_after_layers=(1, 2),
-                               output_activation=head, input_width=3)
-        params = init_params(config, 0)
-        batch = random_batch(np.random.default_rng(0), 4, 2, 3)
-
-        def forward():
-            return network_forward(params, config, batch, mode="train",
-                                   rng=np.random.default_rng(99))
-
-        def loss():
-            return mse_loss(forward()[0], batch.targets, batch.mask)[0]
-
-        preds, cache = forward()
-        assert any(np.any(m == 0.0) for m in cache.dropout_masks.values())
-        _, dpred = mse_loss(preds, batch.targets, batch.mask)
-        analytic = network_backward(params, config, cache, dpred, batch.mask)
-
-        epsilon = 1e-5
-        numeric = zeros_like_params(params)
-        numeric_leaves = dict(tree_leaves(numeric))
-        for path, arr in tree_leaves(params):
-            out = numeric_leaves[path]
-            for k in range(arr.size):
-                orig = arr.flat[k]
-                arr.flat[k] = orig + epsilon
-                loss_plus = loss()
-                arr.flat[k] = orig - epsilon
-                loss_minus = loss()
-                arr.flat[k] = orig
-                out.flat[k] = (loss_plus - loss_minus) / (2.0 * epsilon)
-        assert max_relative_error(analytic, numeric) <= 1e-4
+        assert dropout_mask_gradient_error(cell, head, seed=0) <= 1e-4
 
     def test_cell_kind_mismatch_rejected(self):
         config = NetworkConfig(cell_kind="gru", layer_widths=(4,),
@@ -547,53 +577,68 @@ class TestNetworkBackward:
 
 class TestNumericalGradient:
     def test_quadratic_loss_recovered(self):
+        """With a linear head every prediction is ... + b_out, so the loss
+        sum(preds ** 2) has dloss/db_out = 2 * sum(preds)."""
         config = NetworkConfig(cell_kind="gru", layer_widths=(2,),
                                dropout_rate=0.0, dropout_after_layers=(),
                                output_activation="linear", input_width=2)
         params = init_params(config, 11)
         batch = random_batch(np.random.default_rng(11), 3, 2, 2)
-        # loss reads one parameter directly, so its gradient is known
-        target_leaf = params.b_out
-
-        def loss_fn(_preds):
-            return float(target_leaf[0] ** 2)
-
-        target_leaf[0] = 3.0
-        grads = numerical_gradient(params, config, batch, loss_fn, 1e-5)
-        assert grads.b_out[0] == pytest.approx(6.0, abs=1e-6)
+        preds, _ = network_forward(params, config, batch)
+        grads = numerical_gradient(
+            params, lambda p: np.sum(network_forward(p, config, batch)[0] ** 2))
+        assert grads.b_out[0] == pytest.approx(2.0 * np.sum(preds), rel=1e-12)
 
     def test_restores_parameters(self):
         config = NetworkConfig(cell_kind="lstm", layer_widths=(2,),
                                dropout_rate=0.0, dropout_after_layers=(),
                                output_activation="linear", input_width=2)
         params = init_params(config, 12)
-        snapshot = tree_map(np.copy, params)
+        snapshot = NetworkParams(params.layout, params.vector.copy())
         batch = random_batch(np.random.default_rng(12), 3, 2, 2)
-        numerical_gradient(params, config, batch,
-                           lambda p: float(np.sum(p)), 1e-5)
+        numerical_gradient(
+            params, lambda p: np.sum(network_forward(p, config, batch)[0]),
+            1e-5)
         assert trees_equal(params, snapshot)
 
     def test_zero_at_stationary_point(self):
         config = NetworkConfig(cell_kind="lstm", layer_widths=(2,),
                                dropout_rate=0.0, dropout_after_layers=(),
                                output_activation="linear", input_width=2)
-        params = zeros_like_params(init_params(config, 13))
+        params = NetworkParams(init_params(config, 13).layout)
         batch = random_batch(np.random.default_rng(13), 3, 2, 2)
         batch.targets[:] = 0.0
         grads = numerical_gradient(
-            params, config, batch,
-            lambda p: mse_loss(p, batch.targets, batch.mask)[0], 1e-5)
+            params, lambda p: masked_mse(network_forward(p, config, batch)[0],
+                                         batch), 1e-5)
         # recurrent/output weights sit at a symmetric stationary point
-        assert max_relative_error(grads, zeros_like_params(params)) == 0.0
+        assert max_relative_error(grads, NetworkParams(params.layout)) == 0.0
 
     def test_bad_epsilon_rejected(self):
         config = NetworkConfig(cell_kind="gru", layer_widths=(2,),
                                dropout_rate=0.0, dropout_after_layers=(),
                                output_activation="linear", input_width=2)
         params = init_params(config, 14)
-        batch = random_batch(np.random.default_rng(14), 3, 2, 2)
         with pytest.raises(ValueError):
-            numerical_gradient(params, config, batch, lambda p: 0.0, 0.0)
+            numerical_gradient(params, lambda p: 0.0, 0.0)
+
+
+class TestComplexStepOracle:
+    """Central differences at epsilon 1e-5 exceed 1e-4 on these seeds,
+    where a gradient entry is near 1e-8; the complex step has no
+    subtraction to round."""
+
+    @pytest.mark.parametrize("head", ["sigmoid", "linear", "tanh"])
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("seed", [9, 13, 21, 24, 26])
+    def test_plain_and_padded_batches_within_1e_9(self, seed, cell, head):
+        assert check_network_gradients(cell, head, seed=seed) <= 1e-9
+
+    @pytest.mark.parametrize("head", ["sigmoid", "linear", "tanh"])
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("seed", [3, 9])
+    def test_fixed_dropout_masks_within_1e_9(self, seed, cell, head):
+        assert dropout_mask_gradient_error(cell, head, seed) <= 1e-9
 
 
 class TestCheckpoint:
@@ -662,6 +707,48 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(err.value)
         assert "norm_mode" in str(err.value)
+
+    @staticmethod
+    def rewrite_entry(path, name, data):
+        """Replace one zip entry of the checkpoint at path with data, or
+        drop it when data is None."""
+        with zipfile.ZipFile(path) as src:
+            entries = {n: src.read(n) for n in src.namelist()}
+        if data is None:
+            del entries[name]
+        else:
+            entries[name] = data
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as dst:
+            for n, d in entries.items():
+                dst.writestr(n, d)
+
+    @pytest.mark.parametrize("case, leaf", [
+        ("not a zip", None), ("no meta", None), ("meta not json", None),
+        ("widths not ints", None), ("int64 leaf", "layers[0].w"),
+        ("float32 leaf", "layers[0].u"), ("string leaf", "w_out"),
+        ("non-finite leaf", "b_out")])
+    def test_corrupt_file_names_file(self, tmp_path, case, leaf):
+        path = tmp_path / "model.npz"
+        self.rewrite_meta(path, lambda meta: meta.update(layer_widths="abc")
+                          if case == "widths not ints" else None)
+        bad_leaves = {"int64 leaf": np.zeros((9, 12), np.int64),
+                      "float32 leaf": np.zeros((4, 12), np.float32),
+                      "string leaf": np.array([["a", "b", "c", "d"]]),
+                      "non-finite leaf": np.array([np.nan])}
+        if case == "not a zip":
+            path.write_bytes(b"not a zip")
+        elif case == "no meta":
+            self.rewrite_entry(path, "meta.json", None)
+        elif case == "meta not json":
+            self.rewrite_entry(path, "meta.json", b"{oops")
+        elif case in bad_leaves:
+            buf = io.BytesIO()
+            np.save(buf, bad_leaves[case])
+            self.rewrite_entry(path, f"{leaf}.npy", buf.getvalue())
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        assert leaf is None or leaf in str(err.value)
 
     def test_readable_by_numpy(self, tmp_path):
         config = NetworkConfig(cell_kind="gru", layer_widths=(4,),

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from pournet.network import NetworkConfig, init_params, tree_leaves, tree_map
-from pournet.optim import (NonFiniteGradientError, adam_step,
-                           init_adam, mse_loss)
+from pournet.network import NetworkConfig, NetworkParams, init_params
+from pournet.optim import (BETA1, BETA2, EPS, NonFiniteGradientError,
+                           adam_step, init_adam, mse_loss)
 
 
 class TestMSELoss:
@@ -125,8 +125,7 @@ class TestAdamStep:
             grads = rng.standard_normal(64) * 10.0 ** rng.integers(-8, 8)
             state, params = adam_step(state, params, grads)
             assert np.all(np.isfinite(params))
-            for _, leaf in tree_leaves(state.v):
-                assert np.all(leaf >= 0.0)
+            assert np.all(state.v >= 0.0)
 
     def test_non_finite_gradient_names_path(self):
         config = NetworkConfig(cell_kind="lstm", layer_widths=(3, 3),
@@ -134,7 +133,7 @@ class TestAdamStep:
                                output_activation="linear", input_width=2)
         params = init_params(config, 0)
         state = init_adam(params)
-        grads = tree_map(np.zeros_like, params)
+        grads = NetworkParams(params.layout)
         grads.layers[1].u[0, 9] = np.nan  # candidate block (hidden 3)
         with pytest.raises(NonFiniteGradientError,
                            match=r"layers\[1\]\.u"):
@@ -155,17 +154,36 @@ class TestAdamStep:
                                           input_width=2), 0)
         state = init_adam(params)
         with pytest.raises(ValueError):
-            adam_step(state, params, tree_map(np.zeros_like, other))
+            adam_step(state, params, NetworkParams(other.layout))
+
+    def test_other_layout_of_equal_size_rejected(self):
+        """88 parameters each: without the layout check the two vectors
+        would broadcast and the step would pass silently."""
+        params = init_params(NetworkConfig(cell_kind="gru",
+                                           layer_widths=(2, 3),
+                                           dropout_rate=0.0,
+                                           dropout_after_layers=(),
+                                           output_activation="linear",
+                                           input_width=2), 0)
+        other = init_params(NetworkConfig(cell_kind="lstm",
+                                          layer_widths=(3,),
+                                          dropout_rate=0.0,
+                                          dropout_after_layers=(),
+                                          output_activation="linear",
+                                          input_width=3), 0)
+        assert params.vector.size == other.vector.size == 88
+        state = init_adam(params)
+        with pytest.raises(ValueError):
+            adam_step(state, params, NetworkParams(other.layout))
 
     def test_works_on_full_network_tree(self):
         config = NetworkConfig(cell_kind="gru")
         params = init_params(config, 1)
         state = init_adam(params, lr=0.01)
-        grads = tree_map(lambda a: np.full_like(a, 0.01), params)
+        grads = NetworkParams(params.layout, np.full_like(params.vector, 0.01))
         state2, params2 = adam_step(state, params, grads)
         assert state2.t == 1
-        for (_, before), (_, after) in zip(tree_leaves(params),
-                                           tree_leaves(params2)):
+        for (_, before), (_, after) in zip(params.leaves, params2.leaves):
             assert before.shape == after.shape
             assert np.all(np.isfinite(after))
 
@@ -173,6 +191,5 @@ class TestAdamStep:
 class TestAdamState:
     def test_defaults(self):
         state = init_adam(np.zeros(2))
-        assert (state.lr, state.beta1, state.beta2, state.eps) == \
-            (0.01, 0.9, 0.999, 1e-8)
+        assert (state.lr, BETA1, BETA2, EPS) == (0.01, 0.9, 0.999, 1e-8)
         assert state.t == 0

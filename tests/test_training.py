@@ -5,8 +5,8 @@ import pytest
 
 from pournet.data import fit_normalization, pad_and_batch, save_dataset, split_dataset
 from pournet import training
-from pournet.network import (NetworkConfig, network_backward, network_forward,
-                             tree_leaves)
+from pournet.network import NetworkConfig, network_backward, network_forward
+from pournet.optim import adam_step
 from pournet.synth import SynthParams, generate_dataset
 from pournet.training import (TrainConfig, TrainingDivergedError, TrainReport,
                               evaluate_model, export_loss_curve,
@@ -42,8 +42,7 @@ class TestTrain:
     def test_deterministic_bitwise(self, dataset):
         p1, n1, r1 = train(dataset, small_config())
         p2, n2, r2 = train(dataset, small_config())
-        assert all(np.array_equal(a, b)
-                   for (_, a), (_, b) in zip(tree_leaves(p1), tree_leaves(p2)))
+        assert np.array_equal(p1.vector, p2.vector)
         assert r1.train_losses == r2.train_losses
         assert r1.val_losses == r2.val_losses
         assert n1.target_min == n2.target_min
@@ -106,8 +105,23 @@ class TestTrain:
         assert val_loss == min(report.val_losses)
 
         params_last, _, _ = train(dataset, small_config(epochs=10, lr=0.1))
-        assert any(not np.array_equal(a, b) for (_, a), (_, b)
-                   in zip(tree_leaves(params_best), tree_leaves(params_last)))
+        assert not np.array_equal(params_best.vector, params_last.vector)
+
+    def test_best_validation_copy_does_not_alias_live_arena(self, dataset,
+                                                           monkeypatch):
+        stepped = []
+
+        def recording_step(*args):
+            state, params = adam_step(*args)
+            stepped.append(params.vector)
+            return state, params
+
+        monkeypatch.setattr(training, "adam_step", recording_step)
+        config = small_config(epochs=10, lr=0.1, keep_best_validation=True)
+        params, _, report = train(dataset, config)
+        assert int(np.argmin(report.val_losses)) != config.epochs - 1
+        assert any(np.array_equal(params.vector, v) for v in stepped)
+        assert not any(np.shares_memory(params.vector, v) for v in stepped)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_epoch(self, dataset):
