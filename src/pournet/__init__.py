@@ -9,9 +9,9 @@ from .data import (NormalizationSpec, PaddedBatch, PouringSequence,
 from .dtw import (DTWResult, TestsetScore, dtw_exact, export_alignment,
                   fastdtw, score_testset, validate_warp_path)
 from .network import (CellKind, ForwardCache, LayerParams, NetworkConfig,
-                      NetworkParams, gru_cell_forward, init_params,
-                      load_checkpoint, lstm_cell_forward, network_backward,
-                      network_forward, numerical_gradient, save_checkpoint)
+                      NetworkParams, init_params, load_checkpoint,
+                      network_backward, network_forward, numerical_gradient,
+                      save_checkpoint)
 from .optim import AdamState, NonFiniteGradientError, adam_step, init_adam, mse_loss
 from .synth import SynthParams, generate_dataset, generate_sequence
 from .training import (TrainConfig, TrainingDivergedError, TrainReport,

@@ -14,6 +14,7 @@ Commands mirror the workflow end to end:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -220,6 +221,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _read_curve(path: str):
+    """One finite number per non-blank line, at least one; raises
+    ValueError naming the file (and the line) otherwise."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -227,9 +230,14 @@ def _read_curve(path: str):
             if not line:
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ValueError(f"{path} line {lineno}: not a number: {line!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{path} line {lineno}: not finite: {line!r}")
+            values.append(value)
+    if not values:
+        raise ValueError(f"{path}: no numbers")
     return values
 
 

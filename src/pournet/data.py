@@ -229,10 +229,6 @@ class PaddedBatch:
     def batch_size(self) -> int:
         return self.targets.shape[1]
 
-    @property
-    def num_features(self) -> int:
-        return self.inputs.shape[2]
-
 
 def sensed_force(reading: RawForceReading) -> float:
     """Euclidean norm of the three force axes, the container-weight proxy."""

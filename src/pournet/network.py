@@ -49,7 +49,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib import format as _npy_format
 
-from .data import NORMALIZATION_MODES, NormalizationSpec
+from .data import NORMALIZATION_MODES, NUM_INPUT_FEATURES, NormalizationSpec
 
 
 class CellKind(Enum):
@@ -71,7 +71,6 @@ class NetworkConfig:
     dropout_after_layers: tuple = (2, 4)  # 1-based layer indices
     output_activation: str = "sigmoid"
     input_width: int = 9
-    output_width: int = 1
 
     def __post_init__(self):
         if isinstance(self.cell_kind, str):
@@ -90,8 +89,6 @@ class NetworkConfig:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
         if self.input_width < 1:
             raise ValueError("input_width must be positive")
-        if self.output_width != 1:
-            raise ValueError("the dense head is fixed at width 1")
 
     @property
     def num_layers(self) -> int:
@@ -226,7 +223,7 @@ def validate_params(params: NetworkParams, config: NetworkConfig) -> None:
 
 # ---------------------------------------------------------------------------
 # cells: a step takes a = x W + b as [G, B, H], adds h_prev U and leaves the
-# gate activations in a; the layer loops and the one-step functions share it
+# gate activations in a
 
 def _by_gate(a, hidden):
     """[G, rows, hidden] view of a fused [rows, G * hidden] array."""
@@ -255,34 +252,6 @@ def _gru_step(u3, a, h_prev, h):
     np.multiply(z, h_prev, out=h)
     h += (1.0 - z) * hc
     return h
-
-
-def _cell_inputs(p: LayerParams, kind: CellKind, x, *states):
-    """Check one step's inputs; returns (U by gate, x W + b by gate, *states)."""
-    in_width, hidden = p.w.shape[0], p.u.shape[0]
-    if p.u.shape[1] != kind.num_gates * hidden:
-        raise ValueError(f"parameters do not hold a {kind.value} layer")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != in_width:
-        raise ValueError(f"x must be [batch, {in_width}], got {x.shape}")
-    states = [np.asarray(s, dtype=np.float64) for s in states]
-    for name, s in zip(("h_prev", "c_prev"), states):
-        if s.shape != (x.shape[0], hidden):
-            raise ValueError(f"{name} must be [batch, {hidden}], got {s.shape}")
-    return (_by_gate(p.u, hidden), _by_gate(x @ p.w + p.b, hidden), *states)
-
-
-def lstm_cell_forward(p: LayerParams, x, h_prev, c_prev):
-    """One LSTM timestep over a batch; returns (h, c)."""
-    u3, a, h_prev, c_prev = _cell_inputs(p, CellKind.LSTM, x, h_prev, c_prev)
-    return _lstm_step(u3, a, h_prev, c_prev,
-                      np.empty_like(h_prev), np.empty_like(c_prev))
-
-
-def gru_cell_forward(p: LayerParams, x, h_prev):
-    """One GRU timestep over a batch; returns h."""
-    u3, a, h_prev = _cell_inputs(p, CellKind.GRU, x, h_prev)
-    return _gru_step(u3, a, h_prev, np.empty_like(h_prev))
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +528,7 @@ def save_checkpoint(path, params: NetworkParams, config: NetworkConfig,
         "dropout_after_layers": list(config.dropout_after_layers),
         "output_activation": config.output_activation,
         "input_width": config.input_width,
-        "output_width": config.output_width,
+        "output_width": 1,
         "norm_mode": norm.mode,
         "norm_target_min": norm.target_min,
         "norm_target_max": norm.target_max,
@@ -581,8 +550,8 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (params, config, normalization spec).
 
     Raises ValueError naming the file for content it cannot read or that
-    is incomplete or invalid; a parameter array must be finite float64 of
-    its layout shape, and the message names a bad one.
+    is incomplete or invalid; every array must be finite float64 of its
+    expected shape, and the message names a bad one.
     """
     try:
         with zipfile.ZipFile(path, "r") as zf:
@@ -610,25 +579,30 @@ def _read_checkpoint(zf: zipfile.ZipFile):
             raise ValueError(f"checkpoint is missing {key!r}")
         return entries[key]
 
+    def need_array(name, shape):
+        arr = np.asarray(need(name))
+        if arr.dtype != np.float64 or arr.shape != shape:
+            raise ValueError(f"checkpoint array {name} is {arr.dtype} "
+                             f"{arr.shape}, not float64 {shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint array {name} is not finite")
+        return arr
+
+    if need("output_width") != 1:
+        raise ValueError(f"checkpoint output_width {entries['output_width']!r} "
+                         f"is not 1, the width of the dense head")
     config = NetworkConfig(cell_kind=need("cell_kind"),
                            layer_widths=tuple(need("layer_widths")),
                            dropout_rate=need("dropout_rate"),
                            dropout_after_layers=tuple(need("dropout_after_layers")),
                            output_activation=need("output_activation"),
-                           input_width=need("input_width"),
-                           output_width=need("output_width"))
-    norm = NormalizationSpec(mode=need("norm_mode"),
-                             target_min=need("norm_target_min"),
-                             target_max=need("norm_target_max"),
-                             input_mean=need("norm_input_mean"),
-                             input_std=need("norm_input_std"))
+                           input_width=need("input_width"))
+    norm = NormalizationSpec(
+        mode=need("norm_mode"), target_min=need("norm_target_min"),
+        target_max=need("norm_target_max"),
+        input_mean=need_array("norm_input_mean", (NUM_INPUT_FEATURES,)),
+        input_std=need_array("norm_input_std", (NUM_INPUT_FEATURES,)))
     params = NetworkParams(param_layout(config))
     for name, view in params.leaves:
-        leaf = np.asarray(need(name))
-        if leaf.dtype != np.float64 or leaf.shape != view.shape:
-            raise ValueError(f"checkpoint array {name} is {leaf.dtype} "
-                             f"{leaf.shape}, not float64 {view.shape}")
-        if not np.isfinite(leaf).all():
-            raise ValueError(f"checkpoint array {name} is not finite")
-        view[...] = leaf
+        view[...] = need_array(name, view.shape)
     return params, config, norm

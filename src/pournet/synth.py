@@ -13,28 +13,29 @@ import numpy as np
 
 from .data import PouringSequence, StaticFeatures
 
-DEFAULT_MATERIALS = (("water", 1.0), ("beans", 0.85), ("ice", 0.92))
+# (name, relative density) pairs, and the uniform ranges each sequence's
+# statics and pour shape are drawn from
+MATERIALS = (("water", 1.0), ("beans", 0.85), ("ice", 0.92))
+D_CUP_RANGE = (60.0, 120.0)  # mm
+H_CUP_RANGE = (80.0, 160.0)  # mm
+D_CTA_RANGE = (50.0, 110.0)  # mm
+H_CTA_RANGE = (70.0, 150.0)  # mm
+EMPTY_WEIGHT_RANGE = (0.1, 0.5)  # lbf
+FILL_WEIGHT_RANGE = (0.2, 2.0)  # lbf
+MAX_ANGLE_RANGE_DEG = (60.0, 120.0)
+SPILL_FRACTION_RANGE = (0.25, 0.7)  # of the max angle
+POUR_FRACTION_RANGE = (0.3, 0.95)  # of the fill weight
+RAMP_STEEPNESS_RANGE = (6.0, 12.0)
 
 
 @dataclass(frozen=True)
 class SynthParams:
-    """Knobs for the synthetic generator; ranges are sampled uniformly."""
+    """Settings of the synthetic generator."""
 
     num_sequences: int = 200
     length_range: tuple = (20, 50)  # timesteps, inclusive
-    materials: tuple = DEFAULT_MATERIALS  # (name, relative density) pairs
-    d_cup_range: tuple = (60.0, 120.0)  # mm
-    h_cup_range: tuple = (80.0, 160.0)  # mm
-    d_cta_range: tuple = (50.0, 110.0)  # mm
-    h_cta_range: tuple = (70.0, 150.0)  # mm
-    empty_weight_range: tuple = (0.1, 0.5)  # lbf
-    fill_weight_range: tuple = (0.2, 2.0)  # lbf
     noise_std: float = 0.01  # lbf, observation noise
     seed: int = 0
-    max_angle_range_deg: tuple = (60.0, 120.0)
-    spill_fraction_range: tuple = (0.25, 0.7)  # of the max angle
-    pour_fraction_range: tuple = (0.3, 0.95)  # of the fill weight
-    ramp_steepness_range: tuple = (6.0, 12.0)
 
     def __post_init__(self):
         if self.num_sequences < 1:
@@ -44,18 +45,6 @@ class SynthParams:
             raise ValueError("length_range needs 5 <= T_min <= T_max")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be non-negative")
-        if not self.materials:
-            raise ValueError("need at least one material")
-        for name, rho in self.materials:
-            if rho <= 0.0:
-                raise ValueError(f"material {name!r} needs a positive density")
-        for label in ("d_cup_range", "h_cup_range", "d_cta_range",
-                      "h_cta_range", "empty_weight_range", "fill_weight_range",
-                      "max_angle_range_deg", "spill_fraction_range",
-                      "pour_fraction_range", "ramp_steepness_range"):
-            lo, hi = getattr(self, label)
-            if not (0.0 < lo < hi):
-                raise ValueError(f"{label} must be positive and non-degenerate")
 
 
 def angle_ramp(num_steps: int, max_angle_deg: float, steepness: float) -> np.ndarray:
@@ -88,31 +77,30 @@ def weight_profile(thetas, spill_angle_deg: float, f_init: float,
     return f_init - (f_init - f_target) * poured
 
 
-def generate_sequence(params: SynthParams, rng, seq_id: str | None = None) -> PouringSequence:
+def generate_sequence(params: SynthParams, rng: np.random.Generator,
+                      seq_id: str | None = None) -> PouringSequence:
     """Sample one pouring demonstration from the generator model."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     t_min, t_max = params.length_range
     num_steps = int(rng.integers(t_min, t_max + 1))
-    material, rho = params.materials[int(rng.integers(len(params.materials)))]
-    d_cup = rng.uniform(*params.d_cup_range)
-    h_cup = rng.uniform(*params.h_cup_range)
-    d_cta = rng.uniform(*params.d_cta_range)
-    h_cta = rng.uniform(*params.h_cta_range)
-    f_empty = rng.uniform(*params.empty_weight_range)
-    fill = rng.uniform(*params.fill_weight_range)
+    material, rho = MATERIALS[int(rng.integers(len(MATERIALS)))]
+    d_cup = rng.uniform(*D_CUP_RANGE)
+    h_cup = rng.uniform(*H_CUP_RANGE)
+    d_cta = rng.uniform(*D_CTA_RANGE)
+    h_cta = rng.uniform(*H_CTA_RANGE)
+    f_empty = rng.uniform(*EMPTY_WEIGHT_RANGE)
+    fill = rng.uniform(*FILL_WEIGHT_RANGE)
     f_init = f_empty + fill
-    max_angle = rng.uniform(*params.max_angle_range_deg)
-    steepness = rng.uniform(*params.ramp_steepness_range)
+    max_angle = rng.uniform(*MAX_ANGLE_RANGE_DEG)
+    steepness = rng.uniform(*RAMP_STEEPNESS_RANGE)
     # fuller cups spill earlier: tie the spill fraction to the fill level
     # (1 lbf of water is roughly 453600 mm^3), plus a little sampled jitter
     capacity = np.pi * (d_cta / 2.0) ** 2 * h_cta
     fill_level = min(1.0, 453600.0 * fill / rho / capacity)
-    lo, hi = params.spill_fraction_range
+    lo, hi = SPILL_FRACTION_RANGE
     spill_fraction = lo + (hi - lo) * (1.0 - fill_level)
     spill_fraction += 0.1 * (hi - lo) * rng.uniform(-1.0, 1.0)
     spill_angle = max_angle * min(hi, max(lo, spill_fraction))
-    poured_fraction = rng.uniform(*params.pour_fraction_range)
+    poured_fraction = rng.uniform(*POUR_FRACTION_RANGE)
     f_target = f_empty + (1.0 - poured_fraction) * fill
 
     thetas = angle_ramp(num_steps, max_angle, steepness)

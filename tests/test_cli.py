@@ -315,6 +315,16 @@ class TestDTWCommand:
         assert run(["dtw", "--a", str(a), "--b", str(b), "--exact"]) == 1
         assert "DTW distance overflows float64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, where", [
+        ("", ": no numbers"), ("0.5\nnan\n", " line 2:"),
+        ("\n-inf\n0.2\n", " line 2:")], ids=["empty", "nan", "inf"])
+    def test_bad_curve_file_named(self, tmp_path, capsys, text, where):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("1.0\n0.5\n")
+        bad.write_text(text)
+        assert run(["dtw", "--a", str(good), "--b", str(bad)]) == 1
+        assert f"{bad}{where}" in capsys.readouterr().err
+
     def test_exact_and_radius_conflict(self, tmp_path):
         curve = tmp_path / "c.txt"
         curve.write_text("1.0\n")

@@ -11,11 +11,11 @@ from oracles import textbook_stack_forward
 from pournet.data import NormalizationSpec, PaddedBatch
 from pournet.gradcheck import (check_network_gradients, masked_mse,
                                max_relative_error, random_batch)
-from pournet.network import (CellKind, ForwardCache,
-                             NetworkConfig, NetworkParams, gru_cell_forward,
-                             init_params, load_checkpoint, lstm_cell_forward,
-                             network_backward, network_forward,
-                             numerical_gradient, save_checkpoint, sigmoid)
+from pournet.network import (CellKind, ForwardCache, NetworkConfig,
+                             NetworkParams, _gru_step, _lstm_step, init_params,
+                             load_checkpoint, network_backward,
+                             network_forward, numerical_gradient,
+                             save_checkpoint, sigmoid)
 from pournet.optim import mse_loss
 
 
@@ -33,20 +33,6 @@ def trees_equal(a, b):
     def arrays(p):
         return (p.vector,) if isinstance(p, NetworkParams) else (p.w, p.u, p.b)
     return all(np.array_equal(x, y) for x, y in zip(arrays(a), arrays(b)))
-
-
-def zero_lstm_params(hidden, in_width):
-    config = NetworkConfig(cell_kind="lstm", layer_widths=(hidden,),
-                           dropout_rate=0.0, dropout_after_layers=(),
-                           output_activation="linear", input_width=in_width)
-    return NetworkParams(init_params(config, 0).layout).layers[0]
-
-
-def zero_gru_params(hidden, in_width):
-    config = NetworkConfig(cell_kind="gru", layer_widths=(hidden,),
-                           dropout_rate=0.0, dropout_after_layers=(),
-                           output_activation="linear", input_width=in_width)
-    return NetworkParams(init_params(config, 0).layout).layers[0]
 
 
 class TestNetworkConfig:
@@ -68,7 +54,6 @@ class TestNetworkConfig:
         {"dropout_after_layers": (5,)},
         {"dropout_after_layers": (0,)},
         {"output_activation": "relu"},
-        {"output_width": 2},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -188,21 +173,23 @@ class TestSigmoid:
         assert np.all(np.diff(sigmoid(x)) >= 0.0)
 
 
+# The cell tests hand-set the gate pre-activations a = x W + b [G, B, H]
+# and keep U zero, so each gate's value is known.
+
 class TestLSTMCell:
     def test_zero_params_give_zero_state(self):
-        p = zero_lstm_params(4, 3)
-        x = np.random.default_rng(0).standard_normal((2, 3))
-        h, c = lstm_cell_forward(p, x, np.zeros((2, 4)), np.zeros((2, 4)))
+        h_prev = np.random.default_rng(0).standard_normal((2, 4))
+        h, c = _lstm_step(np.zeros((4, 4, 4)), np.zeros((4, 2, 4)), h_prev,
+                          np.zeros((2, 4)), np.empty((2, 4)), np.empty((2, 4)))
         assert np.all(h == 0.0) and np.all(c == 0.0)
 
     def test_forget_open_input_shut_preserves_cell(self):
-        p = zero_lstm_params(4, 3)
-        block(p.b, LSTM_F, 4)[:] = 10.0
-        block(p.b, LSTM_I, 4)[:] = -10.0
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((5, 3))
+        a = rng.standard_normal((4, 5, 4))
+        a[LSTM_F], a[LSTM_I] = 10.0, -10.0
         c_prev = rng.uniform(-1.0, 1.0, size=(5, 4))
-        _, c = lstm_cell_forward(p, x, np.zeros((5, 4)), c_prev)
+        _, c = _lstm_step(np.zeros((4, 4, 4)), a, np.zeros((5, 4)), c_prev,
+                          np.empty((5, 4)), np.empty((5, 4)))
         assert np.max(np.abs(c - c_prev)) < 1e-4
 
     def test_gate_ranges(self):
@@ -217,34 +204,24 @@ class TestLSTMCell:
             assert np.all(act[:, k] > 0.0) and np.all(act[:, k] < 1.0)
         assert np.all(act[:, LSTM_G] > -1.0) and np.all(act[:, LSTM_G] < 1.0)
 
-    def test_shape_mismatch_rejected(self):
-        p = zero_lstm_params(4, 3)
-        with pytest.raises(ValueError):
-            lstm_cell_forward(p, np.zeros((2, 5)), np.zeros((2, 4)),
-                              np.zeros((2, 4)))
-        with pytest.raises(ValueError):
-            lstm_cell_forward(p, np.zeros((2, 3)), np.zeros((2, 3)),
-                              np.zeros((2, 4)))
-
 
 class TestGRUCell:
     def test_zero_params_halve_ones(self):
-        p = zero_gru_params(4, 3)
-        x = np.random.default_rng(0).standard_normal((2, 3))
-        h = gru_cell_forward(p, x, np.ones((2, 4)))
+        h = _gru_step(np.zeros((3, 4, 4)), np.zeros((3, 2, 4)), np.ones((2, 4)),
+                      np.empty((2, 4)))
         assert np.all(h == 0.5)
 
     def test_zero_params_zero_state(self):
-        p = zero_gru_params(4, 3)
-        x = np.random.default_rng(0).standard_normal((2, 3))
-        assert np.all(gru_cell_forward(p, x, np.zeros((2, 4))) == 0.0)
+        h = _gru_step(np.zeros((3, 4, 4)), np.zeros((3, 2, 4)),
+                      np.zeros((2, 4)), np.empty((2, 4)))
+        assert np.all(h == 0.0)
 
     def test_open_update_gate_preserves_state(self):
-        p = zero_gru_params(4, 3)
-        block(p.b, GRU_Z, 4)[:] = 10.0
         rng = np.random.default_rng(2)
+        a = rng.standard_normal((3, 5, 4))
+        a[GRU_Z] = 10.0
         h_prev = rng.uniform(-1.0, 1.0, size=(5, 4))
-        h = gru_cell_forward(p, rng.standard_normal((5, 3)), h_prev)
+        h = _gru_step(np.zeros((3, 4, 4)), a, h_prev, np.empty((5, 4)))
         assert np.max(np.abs(h - h_prev)) < 1e-4
 
 
@@ -307,26 +284,6 @@ class TestNetworkForward:
                                                          dpred, b.mask)))
             assert np.array_equal(runs[0][0], runs[1][0])
             assert trees_equal(runs[0][1], runs[1][1])
-
-    def test_stack_agrees_with_public_cell_ops(self):
-        """Unrolling lstm_cell_forward/gru_cell_forward by hand reproduces
-        a single-layer network_forward hidden sequence bit for bit."""
-        for cell in ("lstm", "gru"):
-            config = NetworkConfig(cell_kind=cell, layer_widths=(4,),
-                                   dropout_rate=0.0, dropout_after_layers=(),
-                                   output_activation="linear", input_width=3)
-            params = init_params(config, 17)
-            batch = random_batch(np.random.default_rng(17), 6, 2, 3)
-            _, cache = network_forward(params, config, batch, mode="eval")
-            h = np.zeros((2, 4))
-            c = np.zeros((2, 4))
-            for t in range(batch.num_steps):
-                if cell == "lstm":
-                    h, c = lstm_cell_forward(params.layers[0],
-                                             batch.inputs[t], h, c)
-                else:
-                    h = gru_cell_forward(params.layers[0], batch.inputs[t], h)
-                assert np.array_equal(h, cache.hidden[0][t])
 
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     @pytest.mark.parametrize("head", ["sigmoid", "linear", "tanh"])
@@ -724,17 +681,29 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("case, leaf", [
         ("not a zip", None), ("no meta", None), ("meta not json", None),
-        ("widths not ints", None), ("int64 leaf", "layers[0].w"),
-        ("float32 leaf", "layers[0].u"), ("string leaf", "w_out"),
-        ("non-finite leaf", "b_out")])
+        ("widths not ints", None), ("output_width 2", None),
+        ("int64 leaf", "layers[0].w"), ("float32 leaf", "layers[0].u"),
+        ("string leaf", "w_out"), ("non-finite leaf", "b_out"),
+        ("float32 std", "norm_input_std"), ("int64 mean", "norm_input_mean"),
+        ("nan in mean", "norm_input_mean"), ("inf in std", "norm_input_std")])
     def test_corrupt_file_names_file(self, tmp_path, case, leaf):
         path = tmp_path / "model.npz"
-        self.rewrite_meta(path, lambda meta: meta.update(layer_widths="abc")
-                          if case == "widths not ints" else None)
+        meta_edits = {"widths not ints": {"layer_widths": "abc"},
+                      "output_width 2": {"output_width": 2}}
+        self.rewrite_meta(path, lambda meta: meta.update(
+            meta_edits.get(case, {})))
+        mean_with_nan = np.arange(9, dtype=np.float64)
+        mean_with_nan[4] = np.nan
+        std_with_inf = np.ones(9)
+        std_with_inf[2] = np.inf
         bad_leaves = {"int64 leaf": np.zeros((9, 12), np.int64),
                       "float32 leaf": np.zeros((4, 12), np.float32),
                       "string leaf": np.array([["a", "b", "c", "d"]]),
-                      "non-finite leaf": np.array([np.nan])}
+                      "non-finite leaf": np.array([np.nan]),
+                      "float32 std": np.ones(9, np.float32),
+                      "int64 mean": np.arange(9, dtype=np.int64),
+                      "nan in mean": mean_with_nan,
+                      "inf in std": std_with_inf}
         if case == "not a zip":
             path.write_bytes(b"not a zip")
         elif case == "no meta":

@@ -119,15 +119,3 @@ class TestSynthParams:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             SynthParams(noise_std=-0.01)
-
-    def test_degenerate_range_rejected(self):
-        with pytest.raises(ValueError):
-            SynthParams(fill_weight_range=(1.0, 1.0))
-
-    def test_nonpositive_range_rejected(self):
-        with pytest.raises(ValueError):
-            SynthParams(d_cup_range=(0.0, 50.0))
-
-    def test_bad_material_density_rejected(self):
-        with pytest.raises(ValueError):
-            SynthParams(materials=(("water", 1.0), ("dust", 0.0)))
