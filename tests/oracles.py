@@ -1,7 +1,8 @@
 """Independent oracles and frozen corpora shared across test modules.
 
 Nothing here touches the implementation under test beyond plain Python;
-the DTW oracle enumerates every monotone warp path explicitly, and the
+the DTW oracle enumerates every monotone warp path explicitly, the
+FastDTW window oracle widens the window one path cell at a time, and the
 recurrent oracle steps the cell equations one gate at a time.
 """
 
@@ -35,6 +36,23 @@ def enumerate_dtw_distance(a, b) -> float:
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def brute_force_window(coarse_path, m, n, radius):
+    """FastDTW's per-row column ranges at the doubled resolution, built
+    cell by cell: every coarse path cell widens the ranges of the fine
+    rows under the coarse rows within the radius of it."""
+    lo = [n] * m
+    hi = [-1] * m
+    for pi, pj in coarse_path:
+        jlo = max(0, 2 * (pj - radius))
+        jhi = min(n - 1, 2 * (pj + radius) + 1)
+        for ci in range(pi - radius, pi + radius + 1):
+            for ii in (2 * ci, 2 * ci + 1):
+                if 0 <= ii < m:
+                    lo[ii] = min(lo[ii], jlo)
+                    hi[ii] = max(hi[ii], jhi)
+    return list(zip(lo, hi))
 
 
 def short_pair_corpus(seed=11, count=200, max_len=6):

@@ -6,9 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import enumerate_dtw_distance, long_pair_corpus, short_pair_corpus
-from pournet.dtw import (dtw_exact, export_alignment, fastdtw, score_testset,
-                         validate_warp_path)
+import pournet.dtw
+from oracles import (brute_force_window, enumerate_dtw_distance,
+                     long_pair_corpus, short_pair_corpus)
+from pournet.dtw import (_expanded_window, dtw_exact, export_alignment,
+                         fastdtw, score_testset, validate_warp_path)
 
 # finite curves whose pointwise differences overflow float64
 OVERFLOW_A = [1e308, -1e308, 0.0]
@@ -75,8 +77,8 @@ class TestDTWExact:
                 dtw_exact(OVERFLOW_A, OVERFLOW_B)
 
     def test_memory_bounded_on_long_input(self):
-        """The backtrace takes one byte per cell (4 MB here); a matrix of
-        Python floats took 128 MB."""
+        """The backtrace takes one byte per cell (4 MB here) and the whole
+        call peaks at about 5.3 MB; a matrix of Python floats took 128 MB."""
         rng = np.random.default_rng(13)
         a = np.cumsum(rng.standard_normal(2000))
         b = np.cumsum(rng.standard_normal(2000))
@@ -86,7 +88,7 @@ class TestDTWExact:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def assert_full_radius_equals_exact(a, b):
@@ -94,6 +96,20 @@ def assert_full_radius_equals_exact(a, b):
     fast = fastdtw(a, b, radius=max(len(a), len(b)))
     assert fast.distance == exact.distance
     assert fast.path == exact.path
+
+
+def random_warp_path(rng, m, n):
+    """A monotone warp path over an m x n matrix, each step drawn from
+    diagonal, down and right, sliding along the edge once it is reached."""
+    i = j = 0
+    path = [(0, 0)]
+    while (i, j) != (m - 1, n - 1):
+        move = rng.integers(3)  # 0 diagonal, 1 down, 2 right
+        di = i < m - 1 and (move != 2 or j == n - 1)
+        dj = j < n - 1 and (move != 1 or i == m - 1)
+        i, j = i + di, j + dj
+        path.append((i, j))
+    return path
 
 
 class TestFastDTW:
@@ -122,10 +138,37 @@ class TestFastDTW:
         assert_full_radius_equals_exact(rng.standard_normal(m),
                                         rng.standard_normal(n))
 
+    @pytest.mark.parametrize("block", [None, 1, 2, 3])
+    def test_full_radius_equals_exact_at_block_edges(self, block,
+                                                     monkeypatch):
+        """dtw_exact fills blocks of anti-diagonals; lengths at and around
+        multiples of the block size put block ends on every matrix edge."""
+        if block is not None:
+            monkeypatch.setattr(pournet.dtw, "_BLOCK", block)
+        k = pournet.dtw._BLOCK
+        lengths = sorted({1, k - 1, k, k + 1, 2 * k + 1, 3 * k} - {0})
+        rng = np.random.default_rng(16)
+        for m in lengths:
+            for n in lengths:
+                assert_full_radius_equals_exact(rng.standard_normal(m),
+                                                rng.standard_normal(n))
+                assert_full_radius_equals_exact(
+                    rng.integers(-2, 3, m).astype(float),
+                    rng.integers(-2, 3, n).astype(float))
+
     def test_full_radius_equals_exact_on_long_random_walks(self):
         rng = np.random.default_rng(15)
         assert_full_radius_equals_exact(np.cumsum(rng.standard_normal(300)),
                                         np.cumsum(rng.standard_normal(257)))
+
+    def test_window_equals_brute_force(self):
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            m, n = (int(v) for v in rng.integers(1, 120, size=2))
+            coarse = random_warp_path(rng, (m + 1) // 2, (n + 1) // 2)
+            radius = int(rng.integers(0, 4))
+            assert (_expanded_window(coarse, m, n, radius)
+                    == brute_force_window(coarse, m, n, radius))
 
     def test_identity_any_radius(self):
         rng = np.random.default_rng(8)

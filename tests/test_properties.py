@@ -28,8 +28,9 @@ def test_dtw_symmetric_and_non_negative(a, b):
     assert dtw_exact(b, a).distance == forward
 
 
-# integer values make ties between diag, up and left common
-tie_curves = st.lists(st.integers(-3, 3), min_size=1, max_size=24)
+# integer values make ties between diag, up and left common; lengths up
+# to 80 span several of dtw_exact's 16-diagonal blocks
+tie_curves = st.lists(st.integers(-3, 3), min_size=1, max_size=80)
 
 
 @SETTINGS
