@@ -18,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from .data import load_dataset, save_dataset
+from .data import HEADS, load_dataset, save_dataset
 from .dtw import _write_alignment, dtw_exact, fastdtw, score_testset
 from .gradcheck import check_network_gradients
 from .network import CellKind, NetworkConfig, load_checkpoint, save_checkpoint
@@ -27,7 +27,6 @@ from .training import (TrainConfig, evaluate_model, export_loss_curve,
                        export_prediction, predict, train)
 
 CELLS = ("lstm", "gru")
-HEADS = ("sigmoid", "linear", "tanh")
 
 
 class UsageError(ValueError):

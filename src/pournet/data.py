@@ -33,7 +33,8 @@ INPUT_FEATURES = (
 NUM_INPUT_FEATURES = len(INPUT_FEATURES)
 _STATIC_FIELDS = INPUT_FEATURES[1:]
 
-NORMALIZATION_MODES = ("linear", "sigmoid", "tanh")
+# the output heads, in the CLI's order; each fixes a target scaling
+HEADS = ("sigmoid", "linear", "tanh")
 
 
 def _coerce_float_fields(obj, names):
@@ -158,8 +159,15 @@ class NormalizationSpec:
     input_std: np.ndarray  # [9], zero-variance features fall back to 1.0
 
     def __post_init__(self):
-        if self.mode not in NORMALIZATION_MODES:
+        if self.mode not in HEADS:
             raise ValueError(f"unknown normalization mode {self.mode!r}")
+        for name in ("target_min", "target_max"):
+            value = getattr(self, name)
+            if not (isinstance(value, float) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite float, got {value!r}")
+        if self.target_min >= self.target_max:
+            raise ValueError(f"target_min {self.target_min!r} is not below "
+                             f"target_max {self.target_max!r}")
         if self.input_mean.shape != (NUM_INPUT_FEATURES,):
             raise ValueError("input_mean must have one entry per input feature")
         if self.input_std.shape != (NUM_INPUT_FEATURES,):
@@ -268,7 +276,7 @@ def fit_normalization(train, mode: str) -> NormalizationSpec:
     train = list(train)
     if not train:
         raise ValueError("cannot fit normalization on an empty training set")
-    if mode not in NORMALIZATION_MODES:
+    if mode not in HEADS:
         raise ValueError(f"unknown normalization mode {mode!r}")
     targets = np.concatenate([seq.weights for seq in train])
     f_min = float(targets.min())

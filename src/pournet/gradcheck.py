@@ -2,7 +2,9 @@
 
 Builds a small random network and batch, runs exact BPTT against the
 complex-step oracle, and reports the worst elementwise relative error.
-This is the primary correctness check for the backward pass.
+The oracle differentiates mse_loss itself, the loss training uses,
+which keeps a complex probe's imaginary part. This is the primary
+correctness check for the backward pass.
 """
 
 from __future__ import annotations
@@ -20,14 +22,6 @@ def max_relative_error(analytic, numeric, floor: float = 1e-8) -> float:
     a, n = analytic.vector, numeric.vector
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float(np.max(np.abs(a - n) / denom))
-
-
-def masked_mse(preds, batch):
-    """mse_loss's value for preds against batch, in arithmetic that keeps
-    the imaginary part of a complex-step probe."""
-    selected = batch.mask != 0.0
-    diff = (preds - batch.targets)[selected]
-    return np.sum(diff * diff) / np.count_nonzero(selected)
 
 
 def random_batch(rng, num_steps: int, batch_size: int, num_features: int,
@@ -69,7 +63,7 @@ def check_network_gradients(cell_kind, output_activation: str, seed: int,
         _, dpred = mse_loss(preds, b.targets, b.mask)
         analytic = network_backward(params, config, cache, dpred, b.mask)
         numeric = numerical_gradient(
-            params, lambda p: masked_mse(
-                network_forward(p, config, b, mode="eval")[0], b), epsilon)
+            params, lambda p: mse_loss(network_forward(p, config, b)[0],
+                                       b.targets, b.mask)[0], epsilon)
         worst = max(worst, max_relative_error(analytic, numeric))
     return worst

@@ -43,13 +43,13 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 from numpy.lib import format as _npy_format
 
-from .data import NORMALIZATION_MODES, NUM_INPUT_FEATURES, NormalizationSpec
+from .data import HEADS, NUM_INPUT_FEATURES, NormalizationSpec
 
 
 class CellKind(Enum):
@@ -73,11 +73,19 @@ class NetworkConfig:
     input_width: int = 9
 
     def __post_init__(self):
-        if isinstance(self.cell_kind, str):
-            object.__setattr__(self, "cell_kind", CellKind(self.cell_kind.lower()))
+        kind = self.cell_kind
+        object.__setattr__(self, "cell_kind",
+                           CellKind(kind.lower() if isinstance(kind, str) else kind))
+        for name in ("layer_widths", "dropout_after_layers", "input_width"):
+            value = getattr(self, name)
+            items = (value,) if name == "input_width" else tuple(value)
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       for v in items):
+                raise ValueError(f"{name} must hold integers, got {value!r}")
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
         object.__setattr__(self, "dropout_after_layers",
                            tuple(sorted(set(int(i) for i in self.dropout_after_layers))))
+        object.__setattr__(self, "input_width", int(self.input_width))
         if not self.layer_widths or any(w < 1 for w in self.layer_widths):
             raise ValueError("layer widths must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -85,7 +93,7 @@ class NetworkConfig:
         n = len(self.layer_widths)
         if any(not 1 <= i <= n for i in self.dropout_after_layers):
             raise ValueError(f"dropout layer indices must lie in 1..{n}")
-        if self.output_activation not in NORMALIZATION_MODES:
+        if self.output_activation not in HEADS:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
         if self.input_width < 1:
             raise ValueError("input_width must be positive")
@@ -167,10 +175,11 @@ def sigmoid(x, out=None):
     return out
 
 
-_HEAD_ACTIVATIONS = {
-    "sigmoid": sigmoid,
-    "tanh": np.tanh,
-    "linear": lambda x: x,
+# head -> (activation, map from dloss/dpred to dloss/dpre given pred p)
+_HEADS = {
+    "sigmoid": (sigmoid, lambda d, p: d * p * (1.0 - p)),
+    "linear": (lambda x: x, lambda d, p: d),
+    "tanh": (np.tanh, lambda d, p: d * (1.0 - p * p)),
 }
 
 
@@ -334,7 +343,7 @@ def network_forward(params: NetworkParams, config: NetworkConfig, batch,
 
     head_input = x_seq
     pre = np.squeeze(head_input @ params.w_out.T, axis=2) + params.b_out[0]
-    predictions = _HEAD_ACTIVATIONS[config.output_activation](pre)
+    predictions = _HEADS[config.output_activation][0](pre)
     cache = ForwardCache(cell_kind=config.cell_kind, layer_inputs=layer_inputs,
                          gates=gates, hidden=hidden,
                          dropout_masks=dropout_masks, head_input=head_input,
@@ -369,13 +378,7 @@ def network_backward(params: NetworkParams, config: NetworkConfig,
     t_real = int(selected[-1]) + 1
 
     dpred = dloss_dpred[:t_real] * mask[:t_real]
-    pred = cache.predictions[:t_real]
-    if config.output_activation == "sigmoid":
-        dz = dpred * pred * (1.0 - pred)
-    elif config.output_activation == "tanh":
-        dz = dpred * (1.0 - pred * pred)
-    else:
-        dz = dpred
+    dz = _HEADS[config.output_activation][1](dpred, cache.predictions[:t_real])
     head_input = cache.head_input[:t_real]
     grads.w_out[...] = dz.reshape(1, -1) @ head_input.reshape(-1, head_input.shape[2])
     grads.b_out[0] = np.sum(dz)
@@ -491,8 +494,8 @@ def numerical_gradient(params: NetworkParams, loss_fn,
     """Complex-step gradient Im loss_fn(x + i epsilon e_k) / epsilon of
     loss_fn(params) per entry k of a complex128 copy of the arena (Martins,
     Sturdza & Alonso, ACM TOMS 29(3), 2003): nothing is subtracted, so it
-    is exact to rounding. loss_fn must keep imaginary parts, so it cannot
-    call mse_loss, which casts to float64. params is not modified.
+    is exact to rounding. loss_fn must keep imaginary parts, as mse_loss
+    does for a complex prediction. params is not modified.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -520,19 +523,10 @@ def save_checkpoint(path, params: NetworkParams, config: NetworkConfig,
     timestamps so identical inputs produce byte-identical files. Layer i
     is stored fused, as layers[i].w, layers[i].u and layers[i].b.
     """
-    meta = {
-        "format": _CHECKPOINT_FORMAT,
-        "cell_kind": config.cell_kind.value,
-        "layer_widths": list(config.layer_widths),
-        "dropout_rate": config.dropout_rate,
-        "dropout_after_layers": list(config.dropout_after_layers),
-        "output_activation": config.output_activation,
-        "input_width": config.input_width,
-        "output_width": 1,
-        "norm_mode": norm.mode,
-        "norm_target_min": norm.target_min,
-        "norm_target_max": norm.target_max,
-    }
+    meta = {f.name: getattr(config, f.name) for f in fields(NetworkConfig)}
+    meta.update(format=_CHECKPOINT_FORMAT, cell_kind=config.cell_kind.value,
+                output_width=1, norm_mode=norm.mode,
+                norm_target_min=norm.target_min, norm_target_max=norm.target_max)
     entries = [("norm_input_mean", norm.input_mean),
                ("norm_input_std", norm.input_std)]
     entries.extend(params.leaves)
@@ -591,14 +585,12 @@ def _read_checkpoint(zf: zipfile.ZipFile):
     if need("output_width") != 1:
         raise ValueError(f"checkpoint output_width {entries['output_width']!r} "
                          f"is not 1, the width of the dense head")
-    config = NetworkConfig(cell_kind=need("cell_kind"),
-                           layer_widths=tuple(need("layer_widths")),
-                           dropout_rate=need("dropout_rate"),
-                           dropout_after_layers=tuple(need("dropout_after_layers")),
-                           output_activation=need("output_activation"),
-                           input_width=need("input_width"))
+    config = NetworkConfig(**{f.name: need(f.name) for f in fields(NetworkConfig)})
+    if need("norm_mode") != config.output_activation:
+        raise ValueError(f"checkpoint norm_mode {entries['norm_mode']!r} does not "
+                         f"match its output_activation {config.output_activation!r}")
     norm = NormalizationSpec(
-        mode=need("norm_mode"), target_min=need("norm_target_min"),
+        mode=config.output_activation, target_min=need("norm_target_min"),
         target_max=need("norm_target_max"),
         input_mean=need_array("norm_input_mean", (NUM_INPUT_FEATURES,)),
         input_std=need_array("norm_input_std", (NUM_INPUT_FEATURES,)))

@@ -25,9 +25,11 @@ def mse_loss(pred, target, mask):
     loss = sum(mask * (pred - target)^2) / sum(mask); padded cells get a
     zero gradient and do not dilute the average. The sum runs over the
     extracted masked-in cells so its value does not depend on how much
-    padding surrounds them.
+    padding surrounds them. A complex pred, a complex-step probe, stays
+    complex and so does the loss; real inputs are cast to float64.
     """
-    pred = np.asarray(pred, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.complex128 if np.iscomplexobj(pred)
+                      else np.float64)
     target = np.asarray(target, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     if pred.shape != target.shape or pred.shape != mask.shape:
@@ -41,7 +43,7 @@ def mse_loss(pred, target, mask):
         raise ValueError("mask must select at least one element")
     diff = pred - target
     picked = diff[selected]
-    loss = float(np.sum(picked * picked) / count)
+    loss = (np.sum(picked * picked) / count).item()
     grad = 2.0 * mask * diff / count
     return loss, grad
 

@@ -1,8 +1,10 @@
 """End-to-end command-line workflow in temporary directories."""
 
+import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +257,29 @@ class TestPredictAndEval:
                     str(data), "--radius", radius, "--out", str(out)]) == 1
         assert capsys.readouterr().err.strip() == expected
         assert predicted == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval-dtw"])
+    @pytest.mark.parametrize("edit", [
+        {"norm_mode": "linear"}, {"norm_target_min": float("nan")},
+        {"norm_target_min": 1.0, "norm_target_max": 1.0},
+        {"norm_target_min": "0.5"}, {"layer_widths": [16.7, 16, 16, 16]}],
+        ids=["head mismatch", "nan bound", "equal bounds", "string bound",
+             "fractional width"])
+    def test_bad_checkpoint_meta_refused_before_writing(
+            self, command, edit, model_file, data_file, tmp_path, capsys):
+        bad = tmp_path / "bad.npz"
+        with zipfile.ZipFile(model_file) as src, \
+                zipfile.ZipFile(bad, "w", zipfile.ZIP_STORED) as dst:
+            for name in src.namelist():
+                data = src.read(name)
+                if name == "meta.json":
+                    data = json.dumps({**json.loads(data), **edit}).encode()
+                dst.writestr(name, data)
+        out = tmp_path / "out"
+        assert run([command, "--model", str(bad), "--data", str(data_file),
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert not out.exists()
 
     def test_outputs_independent_of_blas_thread_count(self, model_file,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pournet.data import (DatasetParseError, DatasetSchemaError,
-                          PaddedBatch, PouringSequence,
+                          NormalizationSpec, PaddedBatch, PouringSequence,
                           RawForceReading, StaticFeatures,
                           average_initial_force, fit_normalization,
                           load_dataset, pad_and_batch, save_dataset,
@@ -166,6 +166,14 @@ class TestNormalization:
         for mode in ("linear", "sigmoid", "tanh"):
             with pytest.raises(ValueError, match="degenerate"):
                 fit_normalization(flat, mode)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (float("nan"), 1.0), (0.0, float("inf")), (False, 1.0), (0.0, "1.0"),
+        (0, 1.0), (None, 1.0), (0.5, 0.5), (1.0, 0.5)])
+    def test_bad_target_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="target_m"):
+            NormalizationSpec(mode="tanh", target_min=lo, target_max=hi,
+                              input_mean=np.zeros(9), input_std=np.ones(9))
 
     def test_input_standardization(self):
         seqs = tiny_dataset(30, seed=2)

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from oracles import textbook_stack_forward
-from pournet.data import NormalizationSpec, PaddedBatch
-from pournet.gradcheck import (check_network_gradients, masked_mse,
-                               max_relative_error, random_batch)
+from pournet.data import HEADS, NormalizationSpec, PaddedBatch
+from pournet.gradcheck import (check_network_gradients, max_relative_error,
+                               random_batch)
 from pournet.network import (CellKind, ForwardCache, NetworkConfig,
-                             NetworkParams, _gru_step, _lstm_step, init_params,
-                             load_checkpoint, network_backward,
+                             NetworkParams, _HEADS, _gru_step, _lstm_step,
+                             init_params, load_checkpoint, network_backward,
                              network_forward, numerical_gradient,
                              save_checkpoint, sigmoid)
 from pournet.optim import mse_loss
@@ -54,10 +54,36 @@ class TestNetworkConfig:
         {"dropout_after_layers": (5,)},
         {"dropout_after_layers": (0,)},
         {"output_activation": "relu"},
+        {"layer_widths": (16.7, 16)},
+        {"layer_widths": (True, 16)},
+        {"layer_widths": "abc"},
+        {"dropout_after_layers": (2.0,)},
+        {"dropout_after_layers": (True,)},
+        {"input_width": 9.0},
+        {"input_width": True},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NetworkConfig(cell_kind="lstm", **kwargs)
+
+    def test_every_head_has_one_table_entry(self):
+        assert tuple(_HEADS) == HEADS == ("sigmoid", "linear", "tanh")
+
+    @pytest.mark.parametrize("kind", [5, None, "rnn"])
+    def test_unknown_cell_kind_rejected(self, kind):
+        with pytest.raises(ValueError):
+            NetworkConfig(cell_kind=kind)
+
+    def test_numpy_integers_accepted_as_ints(self):
+        config = NetworkConfig(cell_kind="gru", layer_widths=np.array([4, 3]),
+                               dropout_after_layers=(np.int64(2),),
+                               input_width=np.int32(5))
+        assert config.layer_widths == (4, 3)
+        assert config.dropout_after_layers == (2,)
+        assert config.input_width == 5
+        values = (*config.layer_widths, *config.dropout_after_layers,
+                  config.input_width)
+        assert all(type(v) is int for v in values)
 
 
 class TestInitParams:
@@ -460,7 +486,8 @@ def dropout_mask_gradient_error(cell, head, seed):
     _, dpred = mse_loss(preds, batch.targets, batch.mask)
     analytic = network_backward(params, config, cache, dpred, batch.mask)
     numeric = numerical_gradient(
-        params, lambda p: masked_mse(forward(p)[0], batch))
+        params,
+        lambda p: mse_loss(forward(p)[0], batch.targets, batch.mask)[0])
     return max_relative_error(analytic, numeric)
 
 
@@ -566,8 +593,8 @@ class TestNumericalGradient:
         batch = random_batch(np.random.default_rng(13), 3, 2, 2)
         batch.targets[:] = 0.0
         grads = numerical_gradient(
-            params, lambda p: masked_mse(network_forward(p, config, batch)[0],
-                                         batch), 1e-5)
+            params, lambda p: mse_loss(network_forward(p, config, batch)[0],
+                                       batch.targets, batch.mask)[0], 1e-5)
         # recurrent/output weights sit at a symmetric stationary point
         assert max_relative_error(grads, NetworkParams(params.layout)) == 0.0
 
@@ -630,11 +657,26 @@ class TestCheckpoint:
         save_checkpoint(p2, params, config, norm)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_meta_keys_are_the_v2_format(self, tmp_path):
+        """A NetworkConfig field added later changes these keys, and with
+        them the checkpoint format."""
+        config = NetworkConfig(cell_kind="gru", output_activation="tanh")
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, init_params(config, 25), config, self.make_norm())
+        with zipfile.ZipFile(path) as zf:
+            meta = json.loads(zf.read("meta.json"))
+        assert meta == {
+            "format": "pournet-checkpoint-v2", "cell_kind": "gru",
+            "layer_widths": [16, 16, 16, 16], "dropout_rate": 0.5,
+            "dropout_after_layers": [2, 4], "output_activation": "tanh",
+            "input_width": 9, "output_width": 1, "norm_mode": "tanh",
+            "norm_target_min": 0.2, "norm_target_max": 1.7}
+
     def rewrite_meta(self, path, edit):
         """Save a small checkpoint at path with edit() applied to its metadata."""
         config = NetworkConfig(cell_kind="gru", layer_widths=(4,),
                                dropout_rate=0.0, dropout_after_layers=(),
-                               output_activation="linear", input_width=9)
+                               output_activation="tanh", input_width=9)
         original = path.with_suffix(".orig.npz")
         save_checkpoint(original, init_params(config, 24), config,
                         self.make_norm())
@@ -685,11 +727,31 @@ class TestCheckpoint:
         ("int64 leaf", "layers[0].w"), ("float32 leaf", "layers[0].u"),
         ("string leaf", "w_out"), ("non-finite leaf", "b_out"),
         ("float32 std", "norm_input_std"), ("int64 mean", "norm_input_mean"),
-        ("nan in mean", "norm_input_mean"), ("inf in std", "norm_input_std")])
+        ("nan in mean", "norm_input_mean"), ("inf in std", "norm_input_std"),
+        ("head mismatch",
+         "norm_mode 'linear' does not match its output_activation 'tanh'"),
+        ("nan bound", "target_min"), ("inf bound", "target_max"),
+        ("bool bound", "target_min"), ("string bound", "target_min"),
+        ("equal bounds", "target_max"), ("reversed bounds", "target_max"),
+        ("fractional width", "layer_widths"),
+        ("bool dropout index", "dropout_after_layers"),
+        ("float input_width", "input_width"), ("cell_kind 5", "CellKind")])
     def test_corrupt_file_names_file(self, tmp_path, case, leaf):
+        """leaf names the array, or the key or values the message names."""
         path = tmp_path / "model.npz"
         meta_edits = {"widths not ints": {"layer_widths": "abc"},
-                      "output_width 2": {"output_width": 2}}
+                      "output_width 2": {"output_width": 2},
+                      "head mismatch": {"norm_mode": "linear"},
+                      "nan bound": {"norm_target_min": float("nan")},
+                      "inf bound": {"norm_target_max": float("inf")},
+                      "bool bound": {"norm_target_min": False},
+                      "string bound": {"norm_target_min": "0.2"},
+                      "equal bounds": {"norm_target_max": 0.2},
+                      "reversed bounds": {"norm_target_min": 2.0},
+                      "fractional width": {"layer_widths": [4.7]},
+                      "bool dropout index": {"dropout_after_layers": [True]},
+                      "float input_width": {"input_width": 9.0},
+                      "cell_kind 5": {"cell_kind": 5}}
         self.rewrite_meta(path, lambda meta: meta.update(
             meta_edits.get(case, {})))
         mean_with_nan = np.arange(9, dtype=np.float64)

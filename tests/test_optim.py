@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pournet.gradcheck import random_batch
 from pournet.network import NetworkConfig, NetworkParams, init_params
 from pournet.optim import (BETA1, BETA2, EPS, NonFiniteGradientError,
                            adam_step, init_adam, mse_loss)
@@ -51,6 +52,23 @@ class TestMSELoss:
             bumped[idx] -= 2 * eps
             down = mse_loss(bumped, target, mask)[0]
             assert abs((up - down) / (2 * eps) - grad[idx]) < 1e-8
+
+    def test_complex_step_recovers_directional_derivative(self):
+        """On a padded batch, Im loss(pred + i h d) / h is the gradient's
+        dot product with d, so the complex-step oracle differentiates
+        this very loss."""
+        rng = np.random.default_rng(3)
+        batch = random_batch(rng, 7, 5, 2)
+        assert not batch.mask.all()
+        pred = rng.standard_normal(batch.targets.shape)
+        direction = rng.standard_normal(pred.shape)
+        loss, grad = mse_loss(pred, batch.targets, batch.mask)
+        probe, _ = mse_loss(pred + 1e-30j * direction, batch.targets,
+                            batch.mask)
+        assert type(loss) is float and type(probe) is complex
+        assert probe.real == loss
+        assert probe.imag / 1e-30 == pytest.approx(np.vdot(grad, direction),
+                                                   rel=1e-12, abs=1e-12)
 
     def test_residual_scaling_by_two_is_exact(self):
         rng = np.random.default_rng(1)
