@@ -161,9 +161,24 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_output_dataset(path):
+    """load_dataset for commands that write one file per sequence id;
+    raises ValueError naming the file for a repeated id or an id that is
+    not one file-name component."""
+    seqs = load_dataset(path)
+    seen = set()
+    for seq in seqs:
+        if seq.id in ("", ".", "..") or "/" in seq.id or "\0" in seq.id:
+            raise ValueError(f"{path}: id {seq.id!r} is not a file name")
+        if seq.id in seen:
+            raise ValueError(f"{path}: id {seq.id!r} appears twice")
+        seen.add(seq.id)
+    return seqs
+
+
 def _cmd_predict(args) -> int:
     params, net, norm = load_checkpoint(args.model)
-    seqs = load_dataset(args.data)
+    seqs = _load_output_dataset(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for seq, curve in zip(seqs, predict(params, net, norm, seqs)):
@@ -176,7 +191,7 @@ def _cmd_eval_dtw(args) -> int:
     if args.radius < 0:
         raise ValueError(f"--radius must be non-negative, got {args.radius}")
     params, net, norm = load_checkpoint(args.model)
-    seqs = load_dataset(args.data)
+    seqs = _load_output_dataset(args.data)
     if not seqs:
         raise ValueError(f"{args.data}: no sequences to score")
     pairs = evaluate_model(params, net, norm, seqs)

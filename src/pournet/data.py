@@ -349,6 +349,13 @@ def _record_to_sequence(record, where: str) -> PouringSequence:
     for name in ("id", *_STATIC_FIELDS, "steps"):
         if name not in record:
             raise DatasetSchemaError(f"{where}: missing field {name!r}")
+    if not isinstance(record["id"], str):
+        raise DatasetSchemaError(
+            f"{where}: id must be a string, got {record['id']!r}")
+    for name in _STATIC_FIELDS:
+        if isinstance(record[name], bool):
+            raise DatasetSchemaError(
+                f"{where}: {name} must be a number, got {record[name]!r}")
     try:
         statics = StaticFeatures(**{name: float(record[name])
                                     for name in _STATIC_FIELDS})
@@ -357,9 +364,14 @@ def _record_to_sequence(record, where: str) -> PouringSequence:
             if "theta" not in step or "f" not in step:
                 raise DatasetSchemaError(
                     f"{where}: step needs 'theta' and 'f' fields")
-            thetas.append(float(step["theta"]))
-            weights.append(float(step["f"]))
-        return PouringSequence(id=str(record["id"]), thetas=thetas,
+            theta, f = step["theta"], step["f"]
+            if isinstance(theta, bool) or isinstance(f, bool):
+                raise DatasetSchemaError(
+                    f"{where}: step 'theta' and 'f' must be numbers, "
+                    f"got {theta!r} and {f!r}")
+            thetas.append(float(theta))
+            weights.append(float(f))
+        return PouringSequence(id=record["id"], thetas=thetas,
                                weights=weights, statics=statics)
     except DatasetSchemaError:
         raise

@@ -16,15 +16,16 @@ cell and the same tie-break, so they agree bit for bit on distance and
 path (full-radius FastDTW equals exact DTW):
 
 - ``dtw_exact`` fills anti-diagonals with numpy, a block of them at a
-  time, and keeps one byte of backtrace per cell: 0.045 s and 5.3 MB at
-  2000 x 2000 steps, against 0.08 s and 4.3 MB with eight numpy calls per
-  diagonal, and 1.4 s and 128 MB for the Python list matrix before that
-  (2-vCPU Xeon VM, tracemalloc peak).
+  time, each block in a contiguous array of its own, and keeps one byte
+  of backtrace per cell: 0.024 s and 5.5 MB at 2000 x 2000 steps, against
+  0.030 s and 5.3 MB with the blocks as strided views of one ring (2-vCPU
+  Xeon VM, tracemalloc peak). A matrix of Python floats took 1.4 s and
+  128 MB.
 - FastDTW's windows are a few cells wide, so ``_dtw_dp`` loops over them
   in Python and stores only each row's window. On the 30-50-step curves
-  that ``eval-dtw`` scores, the block kernel costs about 4 us per
-  diagonal and FastDTW's levels add up to 110-190 diagonals: 0.4-0.8 ms
-  per pair against 0.3-0.6 ms for the scalar loop (same VM).
+  that ``eval-dtw`` scores, the block kernel costs about 3.6 us per
+  diagonal and FastDTW's levels add up to 110-190 diagonals: 0.4-0.7 ms
+  per pair against 0.2-0.5 ms for the scalar loop (same VM).
 """
 
 from __future__ import annotations
@@ -85,13 +86,14 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _dtw_dp(a, b, ranges) -> DTWResult:
-    """Windowed DTW dynamic program over per-row inclusive column ranges.
+def _dtw_dp(a, b, los, his) -> DTWResult:
+    """Windowed DTW dynamic program; row i spans the inclusive columns
+    los[i]..his[i].
 
     Cells outside the window act as +inf. The backtrace breaks ties by
     preferring the diagonal, then the i-decrement, then the j-decrement.
-    The lower bounds of the ranges must not decrease from row to row, as
-    they do not in full windows and FastDTW's projected windows.
+    The lower bounds must not decrease from row to row, as they do not in
+    full windows and FastDTW's projected windows.
 
     Only the window of each row is stored: ``rows[i + 1]`` holds row i at
     columns ``offs[i + 1]`` onward, with an +inf sentinel at each end, and
@@ -99,49 +101,57 @@ def _dtw_dp(a, b, ranges) -> DTWResult:
     elsewhere, so the origin needs no special case.
     """
     m, n = len(a), len(b)
-    rows, offs = [[0.0, _INF]], [-1]
-    for i in range(m):
-        lo, hi = ranges[i]
-        above, off_a = rows[-1], offs[-1]
+    above, off_a = [0.0, _INF], -1
+    rows, offs = [above], [off_a]
+    for ai, lo, hi in zip(a, los, his):
         short = hi + 1 - off_a - len(above)
         if short > 0:
             above.extend([_INF] * short)
-        ai = a[i]
         left = _INF
         row = [left]
+        append = row.append
         k = lo - off_a
-        for j in range(lo, hi + 1):
-            best = above[k - 1]
-            up = above[k]
+        # each cell's up is the next cell's diag
+        diag = above[k - 1]
+        for bj, up in zip(b[lo:hi + 1], above[k:]):
+            best = diag
             if up < best:
                 best = up
             if left < best:
                 best = left
-            left = abs(ai - b[j]) + best
-            row.append(left)
-            k += 1
-        row.append(_INF)
-        rows.append(row)
-        offs.append(lo - 1)
-    distance = rows[m][n - 1 - offs[m]]
+            left = abs(ai - bj) + best
+            append(left)
+            diag = up
+        append(_INF)
+        above, off_a = row, lo - 1
+        rows.append(above)
+        offs.append(off_a)
+    distance = above[n - 1 - off_a]
     if not distance < _INF:  # every window holds a path; nan is inf - inf
         raise RuntimeError("DTW distance overflows float64")
 
+    # Comparisons stand in for min(diag, up, left), which takes the first
+    # minimum, only when no cell is nan. A finite end cell rules nan out:
+    # an inf input value would make the cost of every path inf or nan.
+    # On the first row and column only one move is legal.
     path = [(m - 1, n - 1)]
     i, j = m - 1, n - 1
-    while i > 0 or j > 0:
-        above, k_a = rows[i], j - offs[i]
-        diag = above[k_a - 1]
-        up = above[k_a]
-        left = rows[i + 1][j - offs[i + 1] - 1]
-        best = min(diag, up, left)
-        if diag == best:
-            i, j = i - 1, j - 1
-        elif up == best:
-            i -= 1
-        else:
+    row, off = above, off_a
+    above, off_a = rows[i], offs[i]
+    while i > 0 and j > 0:
+        k = j - off_a
+        diag, up, left = above[k - 1], above[k], row[j - off - 1]
+        if left < diag and left < up:
             j -= 1
+        else:
+            if diag <= up:
+                j -= 1
+            i -= 1
+            row, off = above, off_a
+            above, off_a = rows[i], offs[i]
         path.append((i, j))
+    path.extend((i, jj) for jj in range(j - 1, -1, -1))
+    path.extend((ii, j) for ii in range(i - 1, -1, -1))
     path.reverse()
     return DTWResult(distance=distance, path=path)
 
@@ -155,66 +165,82 @@ _BLOCK = 16
 def dtw_exact(a, b) -> DTWResult:
     """Full dynamic program; optimal distance over all warp paths.
 
-    The fill runs over anti-diagonals, ``_BLOCK`` at a time. A block's
-    costs take two numpy calls and its backtrace choices, one byte per
-    cell, three more; each diagonal takes three (min, min, add). Memory
-    is about len(a) * len(b) bytes plus ``_BLOCK + 2`` diagonals.
+    The fill runs over anti-diagonals, ``_BLOCK`` at a time, each block in
+    a C-contiguous array of its own. A block's costs take two numpy calls
+    and its backtrace choices, one byte per cell, three more; each
+    diagonal takes three (min, min, add). Memory is about len(a) * len(b)
+    bytes plus ``4 * _BLOCK + 4`` diagonals.
     """
     a = _as_float_array(a, "a")
     b = _as_float_array(b, "b")
     m, n = len(a), len(b)
     K = _BLOCK
-    # Ring row k + 2 holds diagonal d0 + k of the block that starts at d0,
-    # and rows 0 and 1 the two diagonals before it. Column i + 1 holds
-    # cell (i, d - i) and column 0 the +inf row -1. Every diagonal of a
-    # block is computed over the block's rows i0..i1, so cells off the
-    # matrix are filled too. Those with j < 0 stay +inf: they read only
-    # such cells, row -1, and columns past i1 + 1, which no block has
-    # reached yet. Those with j >= n are never read by a cell of the
-    # matrix.
-    ring = np.full((K + 2, m + 1), _INF)
-    ring[1, 1] = abs(a[0] - b[0])
-    # b[j] is rb[n + K - 2 - j], zero for the columns j in [1 - K, -1]
-    # and [n, n + K - 2] that blocks reach off the matrix
-    rb = np.zeros(n + 2 * K - 2)
-    rb[K - 1:K - 1 + n] = b[::-1]
+    # a_pad[i + 1] is a[i]; a_pad[0] pairs with row -1, whose costs are
+    # reset to +inf
+    a_pad = np.concatenate(([0.0], a))
+    # b[j] is rb[n + K - 1 - j], zero for the columns j in [1 - K, -1]
+    # and [n, n + K - 1] that blocks reach off the matrix
+    rb = np.zeros(n + 2 * K - 1)
+    rb[K:K + n] = b[::-1]
     step = rb.strides[0]
-    # min(diag, up) and min(diag, up, left) of each cell of a block
-    diag_up_buf, best_buf = np.empty((K, m)), np.empty((K, m))
+    # Block arrays R, in the two flat buffers in turn, are [k_n + 2, L]
+    # with L = width + 1: row k + 2 holds diagonal d0 + k, rows 0 and 1
+    # the two diagonals before it, and column c cell (i0 + c - 1,
+    # d - i0 - c + 1). Every diagonal of a block is computed over the
+    # block's rows i0 - 1..i1, so cells off the matrix are filled too.
+    # Column 0 is reset to +inf: it is row -1 when i0 == 0, and otherwise
+    # holds only cells with j >= n, which no cell of the matrix reads.
+    # Cells with j < 0 stay +inf: they read only such cells, row -1, and
+    # rows past the previous block's i1, which the carry sets to +inf.
+    flats = np.empty((K + 2) * (m + 1)), np.empty((K + 2) * (m + 1))
+    # min(diag, up) and min(diag, up, left) of each cell, rows of length L
+    # too; filled, so that their unused last column holds no nan
+    du_flat, best_flat = np.zeros(K * (m + 1)), np.zeros(K * (m + 1))
+    # a virtual block before the first holds diagonals -1 and 0
+    prev, prev_i0, prev_k = np.array([[_INF, _INF],
+                                      [_INF, abs(a[0] - b[0])]]), 0, 0
 
     # the choices of diagonal d, one byte per cell from row i0 of its
     # block, are chunks[d]; cell (i, d - i) is at offset base[d] + i
     chunks, base = [b""], [0]
-    for d0 in range(1, m + n - 1, K):
+    for blk, d0 in enumerate(range(1, m + n - 1, K)):
         k_n = min(K, m + n - 1 - d0)
         i0, i1 = max(0, d0 - n + 1), min(m - 1, d0 + k_n - 1)
-        width = i1 - i0 + 1
-        diag_up = diag_up_buf[:k_n, :width]
-        best = best_buf[:k_n, :width]
-        # each diagonal's costs go where its cells will be; row k, column
-        # l of b_view is b[d0 + k - i0 - l]
-        cost = ring[2:k_n + 2, i0 + 1:i0 + width + 1]
+        L = i1 - i0 + 2
+        flat = flats[blk % 2]
+        R = flat[:(k_n + 2) * L].reshape(k_n + 2, L)
+        # carry the previous block's last two diagonals, shifted to this
+        # block's rows
+        shift = i0 - prev_i0
+        kept = min(L, prev.shape[1] - shift)
+        R[:2, :kept] = prev[prev_k:prev_k + 2, shift:shift + kept]
+        R[:2, kept:] = _INF
+        # row k, column c of b_view is b[d0 + k - i0 - c + 1]
         s = n + K - 1 - d0 - k_n + i0
-        b_view = as_strided(rb[s:], (k_n, width), (step, step))[::-1]
-        np.subtract(a[i0:i0 + width], b_view, out=cost)
+        b_view = as_strided(rb[s:], (k_n, L), (step, step))[::-1]
+        cost = R[2:]
+        np.subtract(a_pad[i0:i0 + L], b_view, out=cost)
         np.abs(cost, out=cost)
-        at_i = list(ring[:k_n + 2, i0:i0 + width])
-        after_i = list(ring[:k_n + 2, i0 + 1:i0 + width + 1])
-        for k, (du, bst) in enumerate(zip(diag_up, best)):
-            np.minimum(at_i[k], at_i[k + 1], out=du)
-            np.minimum(du, after_i[k + 1], out=bst)
-            np.add(after_i[k + 2], bst, out=after_i[k + 2])
+        cost[:, 0] = _INF
+        du = du_flat[:k_n * L].reshape(k_n, L)
+        best = best_flat[:k_n * L].reshape(k_n, L)
+        at_i, after_i = list(R[:, :-1]), list(R[:, 1:])
+        for k, (du_k, best_k) in enumerate(zip(du[:, :-1], best[:, :-1])):
+            np.minimum(at_i[k], at_i[k + 1], out=du_k)
+            np.minimum(du_k, after_i[k + 1], out=best_k)
+            np.add(after_i[k + 2], best_k, out=after_i[k + 2])
         # 0 diag, 1 up, 2 left: 0 when diag is a minimum, else 1 plus 1
         # more when left is below both diag and up, so the first minimum
-        # in the order diag, up, left
-        diag = ring[:k_n, i0:i0 + width]
-        left = ring[1:k_n + 1, i0 + 1:i0 + width + 1]
-        choice = np.add((diag != best).view(np.uint8),
-                        (left < diag_up).view(np.uint8)).tobytes()
-        chunks.extend([choice] * k_n)
-        base.extend(range(-i0, k_n * width - i0, width))
-        ring[:2] = ring[k_n:k_n + 2]
-    distance = float(ring[1, m])
+        # in the order diag, up, left. Entry k * L + c of each operand
+        # belongs to the cell in column c + 1 of row k + 2.
+        span = k_n * L - 1
+        choice = np.add(
+            (flat[:span] != best_flat[:span]).view(np.uint8),
+            (flat[L + 1:L + 1 + span] < du_flat[:span]).view(np.uint8))
+        chunks.extend([choice.tobytes()] * k_n)
+        base.extend(range(-i0, k_n * L - i0, L))
+        prev, prev_i0, prev_k = R, i0, k_n
+    distance = float(prev[prev_k + 1, m - prev_i0])
     if distance == _INF:
         raise RuntimeError("DTW distance overflows float64")
 
@@ -249,23 +275,24 @@ def fastdtw(a, b, radius: int = 1) -> DTWResult:
 
 def _fastdtw_rec(a, b, radius) -> DTWResult:
     min_size = radius + 2
-    if len(a) <= min_size or len(b) <= min_size:
-        return _dtw_dp(a, b, [(0, len(b) - 1)] * len(a))
+    m, n = len(a), len(b)
+    if m <= min_size or n <= min_size:
+        return _dtw_dp(a, b, [0] * m, [n - 1] * m)
     coarse = _fastdtw_rec(_halve(a), _halve(b), radius)
-    ranges = _expanded_window(coarse.path, len(a), len(b), radius)
-    return _dtw_dp(a, b, ranges)
+    return _dtw_dp(a, b, *_expanded_window(coarse.path, m, n, radius))
 
 
 def _halve(seq):
-    half = [(seq[2 * k] + seq[2 * k + 1]) / 2.0 for k in range(len(seq) // 2)]
+    half = [(x + y) / 2.0 for x, y in zip(seq[::2], seq[1::2])]
     if len(seq) % 2:
         half.append(seq[-1])
     return half
 
 
 def _expanded_window(coarse_path, m: int, n: int, radius: int):
-    """Per-row column ranges: the coarse path dilated by the radius at the
-    coarse resolution, then projected onto the doubled resolution.
+    """Per-row column bounds (los, his): the coarse path dilated by the
+    radius at the coarse resolution, then projected onto the doubled
+    resolution, where coarse row c covers fine rows 2c and 2c + 1.
 
     The path is monotone, so the widest columns within the radius of
     coarse row c are the first column of row c - radius and the last of
@@ -277,9 +304,13 @@ def _expanded_window(coarse_path, m: int, n: int, radius: int):
         first[pi] = pj
     for pi, pj in coarse_path:
         last[pi] = pj
-    return [(max(0, 2 * (first[max(0, ii // 2 - radius)] - radius)),
-             min(n - 1, 2 * (last[min(top, ii // 2 + radius)] + radius) + 1))
-            for ii in range(m)]
+    r = min(radius, top)
+    lo = [max(0, 2 * (j - radius)) for j in first[:1] * r + first[:top + 1 - r]]
+    hi = [min(n - 1, 2 * (j + radius) + 1) for j in last[r:] + last[-1:] * r]
+    los, his = lo * 2, hi * 2
+    los[::2] = los[1::2] = lo
+    his[::2] = his[1::2] = hi
+    return los[:m], his[:m]
 
 
 def score_testset(pairs, radius: int = 1) -> TestsetScore:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import zipfile
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -88,6 +89,10 @@ class NetworkConfig:
         object.__setattr__(self, "input_width", int(self.input_width))
         if not self.layer_widths or any(w < 1 for w in self.layer_widths):
             raise ValueError("layer widths must be positive")
+        rate = self.dropout_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+            raise ValueError(f"dropout_rate must be a real number, got {rate!r}")
+        object.__setattr__(self, "dropout_rate", float(rate))
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         n = len(self.layer_widths)
@@ -522,7 +527,12 @@ def save_checkpoint(path, params: NetworkParams, config: NetworkConfig,
     The container is a stored (uncompressed) zip with fixed entry
     timestamps so identical inputs produce byte-identical files. Layer i
     is stored fused, as layers[i].w, layers[i].u and layers[i].b.
+    Raises ValueError, before writing, when norm's mode is not the
+    config's output activation, which load_checkpoint would refuse.
     """
+    if norm.mode != config.output_activation:
+        raise ValueError(f"normalization mode {norm.mode!r} does not match "
+                         f"output_activation {config.output_activation!r}")
     meta = {f.name: getattr(config, f.name) for f in fields(NetworkConfig)}
     meta.update(format=_CHECKPOINT_FORMAT, cell_kind=config.cell_kind.value,
                 output_width=1, norm_mode=norm.mode,

@@ -2,8 +2,10 @@
 
 Nothing here touches the implementation under test beyond plain Python;
 the DTW oracle enumerates every monotone warp path explicitly, the
-FastDTW window oracle widens the window one path cell at a time, and the
-recurrent oracle steps the cell equations one gate at a time.
+FastDTW window oracle widens the window one path cell at a time, the
+FastDTW oracle is a frozen copy of the scalar kernel with ranges as
+tuples and a min() backtrace, and the recurrent oracle steps the cell
+equations one gate at a time.
 """
 
 import numpy as np
@@ -53,6 +55,76 @@ def brute_force_window(coarse_path, m, n, radius):
                     lo[ii] = min(lo[ii], jlo)
                     hi[ii] = max(hi[ii], jhi)
     return list(zip(lo, hi))
+
+
+def _reference_dtw_dp(a, b, ranges):
+    """Windowed DTW over per-row inclusive column ranges (lo, hi) with
+    non-decreasing lo; ties go to the diagonal, then up, then left.
+    Returns (distance, path)."""
+    inf = float("inf")
+    m, n = len(a), len(b)
+    rows, offs = [[0.0, inf]], [-1]
+    for i in range(m):
+        lo, hi = ranges[i]
+        above, off_a = rows[-1], offs[-1]
+        short = hi + 1 - off_a - len(above)
+        if short > 0:
+            above.extend([inf] * short)
+        left = inf
+        row = [left]
+        k = lo - off_a
+        for j in range(lo, hi + 1):
+            best = above[k - 1]
+            up = above[k]
+            if up < best:
+                best = up
+            if left < best:
+                best = left
+            left = abs(a[i] - b[j]) + best
+            row.append(left)
+            k += 1
+        row.append(inf)
+        rows.append(row)
+        offs.append(lo - 1)
+    distance = rows[m][n - 1 - offs[m]]
+    path = [(m - 1, n - 1)]
+    i, j = m - 1, n - 1
+    while i > 0 or j > 0:
+        above, k_a = rows[i], j - offs[i]
+        diag = above[k_a - 1]
+        up = above[k_a]
+        left = rows[i + 1][j - offs[i + 1] - 1]
+        best = min(diag, up, left)
+        if diag == best:
+            i, j = i - 1, j - 1
+        elif up == best:
+            i -= 1
+        else:
+            j -= 1
+        path.append((i, j))
+    path.reverse()
+    return distance, path
+
+
+def reference_fastdtw(a, b, radius):
+    """FastDTW as (distance, path): halve both curves by averaging
+    adjacent pairs, recurse, and refine inside brute_force_window around
+    the coarse path; curves no longer than radius + 2 are solved over the
+    full matrix."""
+    a = [float(v) for v in a]
+    b = [float(v) for v in b]
+    m, n = len(a), len(b)
+    if m <= radius + 2 or n <= radius + 2:
+        return _reference_dtw_dp(a, b, [(0, n - 1)] * m)
+
+    def halve(seq):
+        half = [(seq[2 * k] + seq[2 * k + 1]) / 2.0
+                for k in range(len(seq) // 2)]
+        return half + seq[len(seq) // 2 * 2:]
+
+    _, coarse_path = reference_fastdtw(halve(a), halve(b), radius)
+    return _reference_dtw_dp(a, b,
+                             brute_force_window(coarse_path, m, n, radius))
 
 
 def short_pair_corpus(seed=11, count=200, max_len=6):

@@ -282,6 +282,49 @@ class TestPredictAndEval:
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert not out.exists()
 
+    # an edit to the fourth record of a dataset, and the text the error
+    # must contain
+    BAD_RECORDS = {
+        "duplicate id": ({"id": "synth-00001"}, "'synth-00001' appears twice"),
+        "slash id": ({"id": "a/b"}, "'a/b' is not a file name"),
+        "dot id": ({"id": "."}, "'.' is not a file name"),
+        "dotdot id": ({"id": ".."}, "'..' is not a file name"),
+        "empty id": ({"id": ""}, "'' is not a file name"),
+        "nul id": ({"id": "a\0b"}, "'a\\x00b' is not a file name"),
+        "list id": ({"id": ["x"]}, "line 4: id must be a string"),
+        "bool static": ({"rho": True}, "line 4: rho must be a number"),
+        "bool theta": ({"theta": True}, "line 4: step 'theta' and 'f'")}
+
+    @pytest.mark.parametrize("command", ["predict", "eval-dtw"])
+    @pytest.mark.parametrize("case", list(BAD_RECORDS))
+    def test_bad_dataset_refused_before_writing(
+            self, command, case, model_file, data_file, tmp_path,
+            monkeypatch, capsys):
+        """Each output file is named after a sequence id, so a repeated
+        id would overwrite a file and an id with a path in it would
+        write outside --out."""
+        edit, message = self.BAD_RECORDS[case]
+        predicted = []
+        monkeypatch.setattr(pournet.cli, "predict",
+                            lambda *args: predicted.append(1))
+        monkeypatch.setattr(pournet.cli, "evaluate_model",
+                            lambda *args: predicted.append(1))
+        records = [json.loads(line)
+                   for line in data_file.read_text().splitlines()[:5]]
+        if "theta" in edit:
+            records[3]["steps"][2].update(edit)
+        else:
+            records[3].update(edit)
+        data = tmp_path / "bad.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "out"
+        assert run([command, "--model", str(model_file), "--data", str(data),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: ") and message in err
+        assert predicted == []
+        assert not out.exists()
+
     def test_outputs_independent_of_blas_thread_count(self, model_file,
                                                       tmp_path):
         """Batched prediction and scoring in fresh processes pinned to 1

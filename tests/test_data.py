@@ -308,8 +308,11 @@ class TestDatasetFiles:
         '5',
         '[{"theta": 1e999, "f": 1.0}]',
         '[{"theta": [1, 2], "f": 1.0}]',
+        '[{"theta": true, "f": 1.0}]',
+        '[{"theta": 0.0, "f": false}]',
     ], ids=["negative f", "theta abc", "f null", "no steps", "step not object",
-            "steps not list", "theta overflows", "theta list"])
+            "steps not list", "theta overflows", "theta list", "theta true",
+            "f false"])
     def test_bad_steps_name_file_and_line(self, tmp_path, steps):
         path = tmp_path / "bad.jsonl"
         path.write_text(

@@ -8,7 +8,7 @@ import pytest
 
 import pournet.dtw
 from oracles import (brute_force_window, enumerate_dtw_distance,
-                     long_pair_corpus, short_pair_corpus)
+                     long_pair_corpus, reference_fastdtw, short_pair_corpus)
 from pournet.dtw import (_expanded_window, dtw_exact, export_alignment,
                          fastdtw, score_testset, validate_warp_path)
 
@@ -78,7 +78,7 @@ class TestDTWExact:
 
     def test_memory_bounded_on_long_input(self):
         """The backtrace takes one byte per cell (4 MB here) and the whole
-        call peaks at about 5.3 MB; a matrix of Python floats took 128 MB."""
+        call peaks at about 5.5 MB; a matrix of Python floats took 128 MB."""
         rng = np.random.default_rng(13)
         a = np.cumsum(rng.standard_normal(2000))
         b = np.cumsum(rng.standard_normal(2000))
@@ -156,6 +156,37 @@ class TestFastDTW:
                     rng.integers(-2, 3, m).astype(float),
                     rng.integers(-2, 3, n).astype(float))
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 16])
+    def test_exact_equals_reference_on_one_column(self, block, monkeypatch):
+        """With n = 1 the first block starts below row 0, so its carried
+        diagonals come from the virtual start block at a column shift."""
+        monkeypatch.setattr(pournet.dtw, "_BLOCK", block)
+        rng = np.random.default_rng(18)
+        for m in sorted({1, block - 1, block, block + 1, 2 * block + 1,
+                         3 * block} - {0}):
+            for a, b in ((rng.standard_normal(m), rng.standard_normal(1)),
+                         (rng.standard_normal(1), rng.standard_normal(m))):
+                exact = dtw_exact(a, b)
+                assert ((exact.distance, exact.path)
+                        == reference_fastdtw(a, b, max(len(a), len(b))))
+
+    def test_equals_frozen_reference(self):
+        """Gaussian, random-walk and tie-heavy integer curves of 1-300
+        steps at radius 0-5 give the frozen scalar kernel's distance and
+        path."""
+        rng = np.random.default_rng(19)
+        curves = (rng.standard_normal,
+                  lambda k: np.cumsum(rng.standard_normal(k)),
+                  lambda k: rng.integers(-3, 4, k).astype(float))
+        for case in range(90):
+            draw = curves[case % 3]
+            m, n = (int(v) for v in rng.integers(1, 301, size=2))
+            a, b = draw(m), draw(n)
+            radius = case % 6
+            fast = fastdtw(a, b, radius)
+            assert ((fast.distance, fast.path)
+                    == reference_fastdtw(a, b, radius)), (case, m, n)
+
     def test_full_radius_equals_exact_on_long_random_walks(self):
         rng = np.random.default_rng(15)
         assert_full_radius_equals_exact(np.cumsum(rng.standard_normal(300)),
@@ -167,7 +198,8 @@ class TestFastDTW:
             m, n = (int(v) for v in rng.integers(1, 120, size=2))
             coarse = random_warp_path(rng, (m + 1) // 2, (n + 1) // 2)
             radius = int(rng.integers(0, 4))
-            assert (_expanded_window(coarse, m, n, radius)
+            los, his = _expanded_window(coarse, m, n, radius)
+            assert (list(zip(los, his))
                     == brute_force_window(coarse, m, n, radius))
 
     def test_identity_any_radius(self):

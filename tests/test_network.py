@@ -61,10 +61,19 @@ class TestNetworkConfig:
         {"dropout_after_layers": (True,)},
         {"input_width": 9.0},
         {"input_width": True},
+        {"dropout_rate": False},
+        {"dropout_rate": "0.5"},
+        {"dropout_rate": None},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NetworkConfig(cell_kind="lstm", **kwargs)
+
+    @pytest.mark.parametrize("rate", [0, np.float32(0.25), np.int64(0)])
+    def test_real_dropout_rate_stored_as_float(self, rate):
+        config = NetworkConfig(cell_kind="gru", dropout_rate=rate)
+        assert type(config.dropout_rate) is float
+        assert config.dropout_rate == rate
 
     def test_every_head_has_one_table_entry(self):
         assert tuple(_HEADS) == HEADS == ("sigmoid", "linear", "tanh")
@@ -649,13 +658,22 @@ class TestCheckpoint:
         assert np.array_equal(norm2.input_std, norm.input_std)
 
     def test_byte_identical_writes(self, tmp_path):
-        config = NetworkConfig(cell_kind="gru")
+        config = NetworkConfig(cell_kind="gru", output_activation="tanh")
         params = init_params(config, 22)
         norm = self.make_norm()
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         save_checkpoint(p1, params, config, norm)
         save_checkpoint(p2, params, config, norm)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_head_mismatch_refused_before_writing(self, tmp_path):
+        config = NetworkConfig(cell_kind="gru", output_activation="sigmoid")
+        path = tmp_path / "model.npz"
+        with pytest.raises(ValueError) as err:
+            save_checkpoint(path, init_params(config, 26), config,
+                            self.make_norm())
+        assert "'tanh'" in str(err.value) and "'sigmoid'" in str(err.value)
+        assert not path.exists()
 
     def test_meta_keys_are_the_v2_format(self, tmp_path):
         """A NetworkConfig field added later changes these keys, and with
@@ -735,6 +753,7 @@ class TestCheckpoint:
         ("equal bounds", "target_max"), ("reversed bounds", "target_max"),
         ("fractional width", "layer_widths"),
         ("bool dropout index", "dropout_after_layers"),
+        ("bool dropout rate", "dropout_rate"),
         ("float input_width", "input_width"), ("cell_kind 5", "CellKind")])
     def test_corrupt_file_names_file(self, tmp_path, case, leaf):
         """leaf names the array, or the key or values the message names."""
@@ -750,6 +769,7 @@ class TestCheckpoint:
                       "reversed bounds": {"norm_target_min": 2.0},
                       "fractional width": {"layer_widths": [4.7]},
                       "bool dropout index": {"dropout_after_layers": [True]},
+                      "bool dropout rate": {"dropout_rate": False},
                       "float input_width": {"input_width": 9.0},
                       "cell_kind 5": {"cell_kind": 5}}
         self.rewrite_meta(path, lambda meta: meta.update(
@@ -784,7 +804,7 @@ class TestCheckpoint:
     def test_readable_by_numpy(self, tmp_path):
         config = NetworkConfig(cell_kind="gru", layer_widths=(4,),
                                dropout_rate=0.0, dropout_after_layers=(),
-                               output_activation="linear", input_width=3)
+                               output_activation="tanh", input_width=3)
         params = init_params(config, 23)
         path = tmp_path / "model.npz"
         save_checkpoint(path, params, config, self.make_norm())

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pournet.data import (NUM_INPUT_FEATURES, NormalizationSpec,
                           PouringSequence, StaticFeatures, load_dataset,
                           save_dataset, split_dataset)
+from oracles import reference_fastdtw
 from pournet.dtw import dtw_exact, fastdtw
 
 SETTINGS = settings(deadline=None, max_examples=40)
@@ -39,6 +40,28 @@ def test_full_radius_fastdtw_equals_exact_under_ties(a, b):
     exact = dtw_exact(a, b)
     fast = fastdtw(a, b, radius=max(len(a), len(b)))
     assert (fast.distance, fast.path) == (exact.distance, exact.path)
+
+
+def _curve_pairs(max_len):
+    """Pairs of one kind: Gaussian-like floats, random walks, or integers
+    in [-3, 3], where ties between diag, up and left are common."""
+    steps = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    lengths = st.integers(1, max_len)
+    floats = lengths.flatmap(lambda k: st.lists(steps, min_size=k,
+                                                max_size=k))
+    ints = lengths.flatmap(lambda k: st.lists(st.integers(-3, 3), min_size=k,
+                                              max_size=k))
+    walks = floats.map(lambda v: np.cumsum(v).tolist())
+    return st.one_of(st.tuples(floats, floats), st.tuples(walks, walks),
+                     st.tuples(ints, ints))
+
+
+@SETTINGS
+@given(_curve_pairs(300), st.integers(0, 5))
+def test_fastdtw_equals_frozen_reference(pair, radius):
+    a, b = pair
+    fast = fastdtw(a, b, radius)
+    assert (fast.distance, fast.path) == reference_fastdtw(a, b, radius)
 
 
 @SETTINGS
