@@ -3,9 +3,8 @@ rotation angle and container/material features with from-scratch stacked
 LSTM/GRU networks, and score predictions with exact DTW and FastDTW."""
 
 from .data import (NormalizationSpec, PaddedBatch, PouringSequence,
-                   RawForceReading, StaticFeatures, average_initial_force,
-                   fit_normalization, load_dataset, pad_and_batch,
-                   save_dataset, sensed_force, split_dataset)
+                   StaticFeatures, fit_normalization, load_dataset,
+                   pad_and_batch, save_dataset, split_dataset)
 from .dtw import (DTWResult, TestsetScore, dtw_exact, export_alignment,
                   fastdtw, score_testset, validate_warp_path)
 from .network import (CellKind, ForwardCache, LayerParams, NetworkConfig,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from statistics import fmean
 
 import numpy as np
 
@@ -48,20 +47,6 @@ class DatasetParseError(ValueError):
 
 class DatasetSchemaError(ValueError):
     """A dataset record is missing or mistypes a required field."""
-
-
-@dataclass(frozen=True)
-class RawForceReading:
-    """One force-sensor sample, axis components in lbf."""
-
-    fx: float
-    fy: float
-    fz: float
-
-    def __post_init__(self):
-        _coerce_float_fields(self, ("fx", "fy", "fz"))
-        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.fz)):
-            raise ValueError("force components must be finite")
 
 
 @dataclass(frozen=True)
@@ -237,18 +222,14 @@ class PaddedBatch:
     def batch_size(self) -> int:
         return self.targets.shape[1]
 
-
-def sensed_force(reading: RawForceReading) -> float:
-    """Euclidean norm of the three force axes, the container-weight proxy."""
-    return math.sqrt(reading.fx ** 2 + reading.fy ** 2 + reading.fz ** 2)
-
-
-def average_initial_force(samples) -> float:
-    """Mean of a burst of sensed-force samples taken before the pour."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("cannot average an empty sample list")
-    return fmean(samples)
+    def select(self, idx) -> "PaddedBatch":
+        """Members idx in that order, cut to their longest length: bit for
+        bit the batch pad_and_batch builds from those sequences."""
+        lengths = self.lengths[idx]
+        t = int(lengths.max())
+        return PaddedBatch(inputs=self.inputs[:t, idx],
+                           targets=self.targets[:t, idx],
+                           mask=self.mask[:t, idx], lengths=lengths)
 
 
 def split_dataset(sequences, seed: int):
@@ -343,6 +324,10 @@ def load_dataset(path):
     return sequences
 
 
+# the types json.loads gives a number; bool, str and None are refused
+_JSON_NUMBERS = (int, float)
+
+
 def _record_to_sequence(record, where: str) -> PouringSequence:
     if not isinstance(record, dict):
         raise DatasetSchemaError(f"{where}: record must be an object")
@@ -353,7 +338,7 @@ def _record_to_sequence(record, where: str) -> PouringSequence:
         raise DatasetSchemaError(
             f"{where}: id must be a string, got {record['id']!r}")
     for name in _STATIC_FIELDS:
-        if isinstance(record[name], bool):
+        if type(record[name]) not in _JSON_NUMBERS:
             raise DatasetSchemaError(
                 f"{where}: {name} must be a number, got {record[name]!r}")
     try:
@@ -365,7 +350,7 @@ def _record_to_sequence(record, where: str) -> PouringSequence:
                 raise DatasetSchemaError(
                     f"{where}: step needs 'theta' and 'f' fields")
             theta, f = step["theta"], step["f"]
-            if isinstance(theta, bool) or isinstance(f, bool):
+            if type(theta) not in _JSON_NUMBERS or type(f) not in _JSON_NUMBERS:
                 raise DatasetSchemaError(
                     f"{where}: step 'theta' and 'f' must be numbers, "
                     f"got {theta!r} and {f!r}")

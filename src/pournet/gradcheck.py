@@ -5,6 +5,12 @@ complex-step oracle, and reports the worst elementwise relative error.
 The oracle differentiates mse_loss itself, the loss training uses,
 which keeps a complex probe's imaginary part. This is the primary
 correctness check for the backward pass.
+
+At full scale (the default 4x16 stack, a padded [52, 32] batch, train
+mode) one probe per parameter is too slow, so the check there compares
+the gradient along a few directions d of the whole arena, each with one
+complex forward: Im loss(p + i h d) / h = vdot(grad, d) (Squire & Trapp,
+SIAM Review 40(1), 1998).
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import PaddedBatch
-from .network import (NetworkConfig, init_params, network_backward,
-                      network_forward, numerical_gradient)
+from .network import (NetworkConfig, NetworkParams, init_params,
+                      network_backward, network_forward, numerical_gradient)
 from .optim import mse_loss
 
 
@@ -67,3 +73,64 @@ def check_network_gradients(cell_kind, output_activation: str, seed: int,
                                        b.targets, b.mask)[0], epsilon)
         worst = max(worst, max_relative_error(analytic, numeric))
     return worst
+
+
+def directional_gradient_error(params, loss_fn, grads, direction,
+                               epsilon: float = 1e-30,
+                               floor: float = 1e-8) -> float:
+    """Relative error of vdot(grads, direction) against the complex-step
+    directional derivative Im loss_fn(params + i epsilon direction) /
+    epsilon, over max(|both|, floor). params is not modified."""
+    probe = NetworkParams(params.layout,
+                          params.vector + 1j * epsilon * direction)
+    numeric = float(np.imag(loss_fn(probe))) / epsilon
+    analytic = float(np.vdot(grads.vector, direction))
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+
+
+def _layer_of(leaf: str) -> str:
+    """"layers[i]" for a recurrent layer's leaf, "head" for w_out and b_out."""
+    return leaf.split(".")[0] if leaf.startswith("layers") else "head"
+
+
+def full_scale_gradient_errors(cell_kind, output_activation: str, seed: int,
+                               epsilon: float = 1e-30) -> dict:
+    """Directional BPTT-vs-complex-step errors on the default stack.
+
+    The stack is NetworkConfig's default (4 layers of 16, dropout after
+    layers 2 and 4), its weights moved off init by N(0, 0.05^2) noise, in
+    train mode under dropout masks fixed by a fresh rng per forward. The
+    batch is [52, 32] with lengths 20-50, so it has padded steps and two
+    all-padding ones. Returns the error along one random direction of the
+    whole arena ("arena") and along one within each layer's slice
+    ("layers[i]", "head").
+    """
+    config = NetworkConfig(cell_kind=cell_kind,
+                           output_activation=output_activation)
+    rng = np.random.default_rng(seed)
+    params = init_params(config, seed)
+    params.vector += rng.normal(0.0, 0.05, params.vector.size)
+    lengths = rng.integers(20, 51, size=32)
+    lengths[0] = 50
+    batch = random_batch(rng, 52, 32, config.input_width, lengths=lengths)
+
+    def forward(p):
+        return network_forward(p, config, batch, mode="train",
+                               rng=np.random.default_rng(seed))
+
+    def loss(p):
+        return mse_loss(forward(p)[0], batch.targets, batch.mask)[0]
+
+    preds, cache = forward(params)
+    _, dpred = mse_loss(preds, batch.targets, batch.mask)
+    grads = network_backward(params, config, cache, dpred, batch.mask)
+    layers = dict.fromkeys(_layer_of(name) for name, _ in params.layout)
+    errors = {}
+    for part in ("arena", *layers):
+        direction = NetworkParams(params.layout)
+        for name, view in direction.leaves:
+            if part in ("arena", _layer_of(name)):
+                view[...] = rng.standard_normal(view.shape)
+        errors[part] = directional_gradient_error(params, loss, grads,
+                                                  direction.vector, epsilon)
+    return errors

@@ -12,15 +12,26 @@ projects x W + b for all timesteps in one GEMM, so each step only adds
 h_prev U; BPTT keeps every step's gate deltas and forms dW, dU, db and dx
 after the time loop with one GEMM or reduction each. Within the loops the
 gates are stacked time-major, [T, G, B, H], so each step reads and writes
-one contiguous [G, B, H] slab: a ufunc over several gates (sigmoid over
-i, f, o; BPTT's scaling of a step's deltas) walks one block, not G blocks
-8*T*B*H bytes apart. Against a gate-major layout (one [T, B, H] slab per
-gate) this cut the train-mode forward of the default 4x16 stack by a
+one contiguous [G, B, H] slab: a ufunc over several gates (the tanh over
+all of them; BPTT's scaling of a step's deltas) walks one block, not G
+blocks 8*T*B*H bytes apart. Against a gate-major layout (one [T, B, H]
+slab per gate) this cut the train-mode forward of the default 4x16 stack by a
 fifth to a quarter (B = 32, T <= 50, one BLAS thread); BPTT stays level,
 because its whole-sequence passes now read each gate as a strided view.
 Padding never shares a GEMM with real steps: the projection of trailing
 all-padding steps (t >= lengths.max()) runs on its own, and BPTT stops
 at the last step the loss mask selects.
+
+Every gate but the last (LSTM i, f, o; GRU z, r) is a sigmoid, and
+sigmoid(x) = 0.5 * (1 + tanh(x / 2)). The forward therefore runs on
+pre-halved gates: it scales those gates' columns of W, U and b by 0.5
+once per layer call, so one tanh over a step's whole slab, then *= 0.5
+and += 0.5 on the sigmoid rows, gives every gate activation. Scaling by
+a power of two commutes with rounding (subnormals aside), so the
+activations are the same bits as sigmoid() of the unscaled
+pre-activation, for complex-step probes too. BPTT differentiates the
+unscaled parameters. An LSTM layer also keeps tanh(c) for every step
+(the cache's "tc"), which BPTT reads instead of recomputing it.
 
 LSTM cell, column blocks (i, f, o | g):
     i = sigmoid(x W_i + h_prev U_i + b_i)      input gate
@@ -160,7 +171,8 @@ class ForwardCache:
 
     cell_kind: CellKind
     layer_inputs: list  # per layer, [T, B, in_width] as seen by that layer
-    gates: list  # per layer, {"act": [T, G, B, H] activations, LSTM "c": [T, B, H]}
+    gates: list  # per layer, {"act": [T, G, B, H] activations,
+    #              LSTM "c" and "tc" = tanh(c): [T, B, H]}
     hidden: list  # per layer, [T, B, hidden]
     dropout_masks: dict  # 1-based layer index -> mask [T, B, hidden]
     head_input: np.ndarray  # [T, B, hidden], after any top dropout
@@ -236,7 +248,8 @@ def validate_params(params: NetworkParams, config: NetworkConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# cells: a step takes a = x W + b as [G, B, H], adds h_prev U and leaves the
+# cells: a step takes a = x W + b as [G, B, H], with the sigmoid gates'
+# columns pre-halved, adds h_prev U (pre-halved the same way) and leaves the
 # gate activations in a
 
 def _by_gate(a, hidden):
@@ -244,22 +257,26 @@ def _by_gate(a, hidden):
     return a.reshape(a.shape[0], -1, hidden).transpose(1, 0, 2)
 
 
-def _lstm_step(u3, a, h_prev, c_prev, h, c):
+def _lstm_step(u3, a, h_prev, c_prev, h, c, tc):
     a += np.matmul(h_prev, u3)
-    sigmoid(a[:3], out=a[:3])
-    np.tanh(a[3], out=a[3])
-    i, f, o, g = a[0], a[1], a[2], a[3]
+    np.tanh(a, out=a)
+    ifo = a[:3]
+    ifo *= 0.5
+    ifo += 0.5
+    i, f, o, g = a
     np.multiply(f, c_prev, out=c)
     c += i * g
-    np.tanh(c, out=h)
-    h *= o
+    np.tanh(c, out=tc)
+    np.multiply(tc, o, out=h)
     return h, c
 
 
 def _gru_step(u3, a, h_prev, h):
     zr, hc = a[:2], a[2]
     zr += np.matmul(h_prev, u3[:2])
-    sigmoid(zr, out=zr)
+    np.tanh(zr, out=zr)
+    zr *= 0.5
+    zr += 0.5
     z, r = a[0], a[1]
     hc += (r * h_prev) @ u3[2]
     np.tanh(hc, out=hc)
@@ -274,31 +291,36 @@ def _gru_step(u3, a, h_prev, h):
 def _forward_layer(kind: CellKind, p: LayerParams, x_seq, t_real):
     """Run one layer over [T, B, in]; returns (h_seq, cache entry).
 
-    x W + b is one GEMM over the steps before t_real and one over the
-    all-padding steps after it; the step loop turns it into the gate
-    activations [T, G, B, H] in place, one contiguous [G, B, H] slab per
-    step. Buffers take the dtype of x_seq and p, so a complex-step probe
-    stays complex and a float64 run stays float64.
+    x W + b, with the sigmoid gates' columns halved, is one GEMM over the
+    steps before t_real and one over the all-padding steps after it; the
+    step loop turns it into the gate activations [T, G, B, H] in place,
+    one contiguous [G, B, H] slab per step. Buffers take the dtype of
+    x_seq and p, so a complex-step probe stays complex and a float64 run
+    stays float64.
     """
     t_max, batch, in_width = x_seq.shape
     gates, hidden = kind.num_gates, p.u.shape[0]
-    dtype = np.result_type(x_seq, p.w)
+    half = np.full(gates * hidden, 0.5)
+    half[-hidden:] = 1.0  # the last gate is the tanh one
+    w = p.w * half
+    dtype = np.result_type(x_seq, w)
     act = np.empty((t_max, gates, batch, hidden), dtype)
     for lo, hi in ((0, t_real), (t_real, t_max)):
         if hi > lo:
-            proj = x_seq[lo:hi].reshape(-1, in_width) @ p.w
+            proj = x_seq[lo:hi].reshape(-1, in_width) @ w
             act[lo:hi] = proj.reshape(hi - lo, batch, gates,
                                       hidden).transpose(0, 2, 1, 3)
-    act += p.b.reshape(gates, 1, hidden)
-    u3 = np.ascontiguousarray(_by_gate(p.u, hidden))
+    act += (p.b * half).reshape(gates, 1, hidden)
+    u3 = np.ascontiguousarray(_by_gate(p.u * half, hidden))
     h_seq = np.empty((t_max, batch, hidden), dtype)
     h = np.zeros((batch, hidden), dtype)
     store = {"act": act}
     if kind is CellKind.LSTM:
         c_seq = store["c"] = np.empty((t_max, batch, hidden), dtype)
+        tc_seq = store["tc"] = np.empty((t_max, batch, hidden), dtype)
         c = np.zeros((batch, hidden), dtype)
         for t in range(t_max):
-            h, c = _lstm_step(u3, act[t], h, c, h_seq[t], c_seq[t])
+            h, c = _lstm_step(u3, act[t], h, c, h_seq[t], c_seq[t], tc_seq[t])
     else:
         for t in range(t_max):
             h = _gru_step(u3, act[t], h, h_seq[t])
@@ -425,8 +447,7 @@ def _bptt_lstm(p: LayerParams, grads, store, x_seq, h_seq, dh_seq, need_dx):
     t_real, batch, n = dh_seq.shape
     act = store["act"][:t_real]
     i, f, o, g = act[:, 0], act[:, 1], act[:, 2], act[:, 3]
-    c_seq = store["c"][:t_real]
-    tc = np.tanh(c_seq)
+    c_seq, tc = store["c"][:t_real], store["tc"][:t_real]
     # delta holds each gate's local derivative until step t scales it by
     # dc (i, f, g) or dh (o)
     delta = np.empty_like(act)

@@ -5,6 +5,10 @@ matched to the output head, per-epoch reshuffling into mini-batches
 padded to the batch maximum, Adam updates, and per-epoch train plus
 validation losses. Validation always runs in eval mode.
 
+The training split is normalized and padded once per run, into one
+PaddedBatch; each mini-batch is cut from it with PaddedBatch.select,
+which gives the same bits as padding the mini-batch's sequences anew.
+
 Prediction runs in length-sorted padded batches of PREDICT_CHUNK (32)
 sequences. Padding never reaches a sequence's real steps, but a batch of
 another width can take another BLAS code path, so a batched curve agrees
@@ -103,6 +107,7 @@ def train(dataset, config: TrainConfig):
     shuffle_rng = np.random.default_rng(shuffle_ss)
     dropout_rng = np.random.default_rng(dropout_ss)
     adam = init_adam(params, lr=config.lr)
+    train_batch = pad_and_batch(train_seqs, norm)
     val_batch = pad_and_batch(val_seqs, norm)
 
     train_losses, val_losses, epoch_seconds = [], [], []
@@ -113,8 +118,7 @@ def train(dataset, config: TrainConfig):
         weighted_sum = 0.0
         weight = 0.0
         for start in range(0, len(order), config.batch_size):
-            chunk = [train_seqs[k] for k in order[start:start + config.batch_size]]
-            batch = pad_and_batch(chunk, norm)
+            batch = train_batch.select(order[start:start + config.batch_size])
             preds, cache = network_forward(params, config.network, batch,
                                            mode="train", rng=dropout_rng)
             mask = _loss_mask(batch, config.masked_loss)

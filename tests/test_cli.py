@@ -293,7 +293,9 @@ class TestPredictAndEval:
         "nul id": ({"id": "a\0b"}, "'a\\x00b' is not a file name"),
         "list id": ({"id": ["x"]}, "line 4: id must be a string"),
         "bool static": ({"rho": True}, "line 4: rho must be a number"),
-        "bool theta": ({"theta": True}, "line 4: step 'theta' and 'f'")}
+        "bool theta": ({"theta": True}, "line 4: step 'theta' and 'f'"),
+        "string static": ({"rho": "1.0"}, "line 4: rho must be a number"),
+        "string theta": ({"theta": "1.5"}, "line 4: step 'theta' and 'f'")}
 
     @pytest.mark.parametrize("command", ["predict", "eval-dtw"])
     @pytest.mark.parametrize("case", list(BAD_RECORDS))
@@ -354,9 +356,27 @@ class TestGradcheck:
         assert run(["gradcheck", "--seed", "7"]) == 0
         out = capsys.readouterr().out
         assert out.count("max relative error") == 6
+        full = out.splitlines()[6]
+        assert full.startswith("full scale (default stack, train mode): "
+                               "max directional error ")
 
     def test_impossible_tolerance_fails(self):
         assert run(["gradcheck", "--seed", "7", "--tol", "1e-18"]) == 1
+
+    @pytest.mark.parametrize("toy,full", [(float("nan"), 0.0),
+                                          (0.0, float("nan"))],
+                             ids=["toy", "full scale"])
+    def test_nan_error_fails(self, toy, full, monkeypatch, capsys):
+        monkeypatch.setattr(pournet.cli, "check_network_gradients",
+                            lambda *args, **kwargs: toy)
+        monkeypatch.setattr(pournet.cli, "full_scale_gradient_errors",
+                            lambda *args, **kwargs: {"arena": 0.0,
+                                                     "layers[2]": full})
+        assert run(["gradcheck"]) == 1
+        captured = capsys.readouterr()
+        assert "gradient check failed, nan" in captured.err
+        if full != full:
+            assert "error nan at lstm-sigmoid layers[2]" in captured.out
 
 
 class TestDTWCommand:

@@ -1,16 +1,14 @@
-"""Schema, force formulas, normalization, padding and split behavior."""
+"""Schema, normalization, padding and split behavior."""
 
-import itertools
+import json
 
 import numpy as np
 import pytest
 
 from pournet.data import (DatasetParseError, DatasetSchemaError,
                           NormalizationSpec, PaddedBatch, PouringSequence,
-                          RawForceReading, StaticFeatures,
-                          average_initial_force, fit_normalization,
-                          load_dataset, pad_and_batch, save_dataset,
-                          sensed_force, split_dataset)
+                          StaticFeatures, fit_normalization, load_dataset,
+                          pad_and_batch, save_dataset, split_dataset)
 from pournet.optim import mse_loss
 
 
@@ -35,54 +33,6 @@ def tiny_dataset(n, seed=0):
         weights = np.linspace(top, top * 0.4, length)
         seqs.append(make_sequence(f"seq-{i:04d}", weights))
     return seqs
-
-
-class TestSensedForce:
-    def test_pythagorean_triple(self):
-        assert sensed_force(RawForceReading(3.0, 4.0, 0.0)) == 5.0
-
-    def test_zero(self):
-        assert sensed_force(RawForceReading(0.0, 0.0, 0.0)) == 0.0
-
-    def test_unit_diagonal(self):
-        value = sensed_force(RawForceReading(1.0, 1.0, 1.0))
-        assert value == pytest.approx(1.7320508075688772, rel=1e-12)
-
-    def test_sign_and_permutation_invariance(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            fx, fy, fz = rng.uniform(-10, 10, size=3)
-            base = sensed_force(RawForceReading(fx, fy, fz))
-            for signs in itertools.product((1, -1), repeat=3):
-                for perm in itertools.permutations((fx, fy, fz)):
-                    flipped = RawForceReading(*(s * v for s, v in zip(signs, perm)))
-                    assert sensed_force(flipped) == pytest.approx(base, rel=1e-12)
-
-    def test_result_non_negative(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            r = RawForceReading(*rng.standard_normal(3))
-            assert sensed_force(r) >= 0.0
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            RawForceReading(bad, 0.0, 0.0)
-
-
-class TestAverageInitialForce:
-    def test_constant(self):
-        assert average_initial_force([1.0, 1.0, 1.0]) == 1.0
-
-    def test_symmetric(self):
-        assert average_initial_force([0.0, 2.0]) == 1.0
-
-    def test_burst_of_500_constant_samples(self):
-        assert average_initial_force([0.73] * 500) == pytest.approx(0.73, rel=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average_initial_force([])
 
 
 class TestSplitDataset:
@@ -237,6 +187,23 @@ class TestPadAndBatch:
                         lengths=np.array([2]))
 
 
+    @pytest.mark.parametrize("order_seed", [0, 1, 2, 3])
+    def test_select_equals_pad_and_batch_bit_for_bit(self, order_seed):
+        seqs = tiny_dataset(23, seed=4)
+        spec = fit_normalization(seqs, "tanh")
+        split = pad_and_batch(seqs, spec)
+        order = np.random.default_rng(order_seed).permutation(len(seqs))
+        chunks = [order[k:k + 5] for k in range(0, len(order), 5)]
+        assert len(chunks[-1]) == 3  # a final short batch
+        for idx in chunks:
+            got = split.select(idx)
+            want = pad_and_batch([seqs[k] for k in idx], spec)
+            for name in ("inputs", "targets", "mask", "lengths"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+
+
 class TestDatasetFiles:
     def test_round_trip(self, tmp_path):
         seqs = tiny_dataset(3, seed=8)
@@ -250,7 +217,6 @@ class TestDatasetFiles:
         path = tmp_path / "data.jsonl"
         save_dataset(seqs, path)
         lines = path.read_text().splitlines()
-        import json
         record = json.loads(lines[1])
         del record["rho"]
         lines[1] = json.dumps(record)
@@ -310,9 +276,11 @@ class TestDatasetFiles:
         '[{"theta": [1, 2], "f": 1.0}]',
         '[{"theta": true, "f": 1.0}]',
         '[{"theta": 0.0, "f": false}]',
+        '[{"theta": "1.5", "f": 1.0}]',
+        '[{"theta": 0.0, "f": "0.5"}]',
     ], ids=["negative f", "theta abc", "f null", "no steps", "step not object",
             "steps not list", "theta overflows", "theta list", "theta true",
-            "f false"])
+            "f false", "theta string", "f string"])
     def test_bad_steps_name_file_and_line(self, tmp_path, steps):
         path = tmp_path / "bad.jsonl"
         path.write_text(
@@ -322,6 +290,25 @@ class TestDatasetFiles:
         with pytest.raises(DatasetSchemaError) as info:
             load_dataset(path)
         assert str(info.value).startswith(f"{path}: line 1:")
+
+
+    @pytest.mark.parametrize("field", ["f_init", "f_empty", "f_final", "d_cup",
+                                       "h_cup", "d_cta", "h_cta", "rho",
+                                       "theta", "f"])
+    def test_number_written_as_string_refused(self, tmp_path, field):
+        path = tmp_path / "data.jsonl"
+        save_dataset(tiny_dataset(2), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        target = record["steps"][-1] if field in ("theta", "f") else record
+        target[field] = str(target[field])
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetSchemaError) as info:
+            load_dataset(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: line 2:")
+        assert f"'{field}'" in message or f"{field} must be a number" in message
 
 
 class TestDomainTypes:

@@ -9,7 +9,9 @@ import pytest
 
 from oracles import textbook_stack_forward
 from pournet.data import HEADS, NormalizationSpec, PaddedBatch
-from pournet.gradcheck import (check_network_gradients, max_relative_error,
+from pournet.gradcheck import (check_network_gradients,
+                               directional_gradient_error,
+                               full_scale_gradient_errors, max_relative_error,
                                random_batch)
 from pournet.network import (CellKind, ForwardCache, NetworkConfig,
                              NetworkParams, _HEADS, _gru_step, _lstm_step,
@@ -209,22 +211,25 @@ class TestSigmoid:
 
 
 # The cell tests hand-set the gate pre-activations a = x W + b [G, B, H]
-# and keep U zero, so each gate's value is known.
+# and keep U zero, so each gate's value is known. As in _forward_layer,
+# the sigmoid gates' rows hold half the pre-activation: a row of 5.0 is
+# sigmoid(10).
 
 class TestLSTMCell:
     def test_zero_params_give_zero_state(self):
         h_prev = np.random.default_rng(0).standard_normal((2, 4))
         h, c = _lstm_step(np.zeros((4, 4, 4)), np.zeros((4, 2, 4)), h_prev,
-                          np.zeros((2, 4)), np.empty((2, 4)), np.empty((2, 4)))
+                          np.zeros((2, 4)), np.empty((2, 4)), np.empty((2, 4)),
+                          np.empty((2, 4)))
         assert np.all(h == 0.0) and np.all(c == 0.0)
 
     def test_forget_open_input_shut_preserves_cell(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((4, 5, 4))
-        a[LSTM_F], a[LSTM_I] = 10.0, -10.0
+        a[LSTM_F], a[LSTM_I] = 5.0, -5.0
         c_prev = rng.uniform(-1.0, 1.0, size=(5, 4))
         _, c = _lstm_step(np.zeros((4, 4, 4)), a, np.zeros((5, 4)), c_prev,
-                          np.empty((5, 4)), np.empty((5, 4)))
+                          np.empty((5, 4)), np.empty((5, 4)), np.empty((5, 4)))
         assert np.max(np.abs(c - c_prev)) < 1e-4
 
     def test_gate_ranges(self):
@@ -254,7 +259,7 @@ class TestGRUCell:
     def test_open_update_gate_preserves_state(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 5, 4))
-        a[GRU_Z] = 10.0
+        a[GRU_Z] = 5.0
         h_prev = rng.uniform(-1.0, 1.0, size=(5, 4))
         h = _gru_step(np.zeros((3, 4, 4)), a, h_prev, np.empty((5, 4)))
         assert np.max(np.abs(h - h_prev)) < 1e-4
@@ -360,9 +365,22 @@ class TestNetworkForward:
             assert act.shape == (7, gates, 2, hidden)
             assert act.flags.c_contiguous
             if cell == "lstm":
-                assert store["c"].shape == (7, 2, hidden)
+                for key in ("c", "tc"):
+                    assert store[key].shape == (7, 2, hidden)
+                    assert store[key].flags.c_contiguous
             else:
-                assert "c" not in store
+                assert "c" not in store and "tc" not in store
+
+    def test_lstm_cache_keeps_tanh_of_cell_state(self):
+        config = NetworkConfig(cell_kind="lstm", output_activation="tanh")
+        params = init_params(config, 8)
+        rng = np.random.default_rng(8)
+        params.vector += rng.normal(0.0, 0.3, params.vector.size)
+        batch = random_batch(rng, 12, 5, 9, lengths=np.array([9, 3, 12, 7, 1]))
+        _, cache = network_forward(params, config, batch, mode="train",
+                                   rng=np.random.default_rng(1))
+        for store in cache.gates:
+            assert np.array_equal(store["tc"], np.tanh(store["c"]))
 
     def test_train_mode_deterministic_under_fixed_rng(self):
         config = self.small_config(rate=0.5)
@@ -632,6 +650,40 @@ class TestComplexStepOracle:
     @pytest.mark.parametrize("seed", [3, 9])
     def test_fixed_dropout_masks_within_1e_9(self, seed, cell, head):
         assert dropout_mask_gradient_error(cell, head, seed) <= 1e-9
+
+
+class TestFullScaleGradient:
+    """Directional complex-step checks on the default 4x16 stack in train
+    mode: one direction over the whole arena and one within each layer's
+    slice, so a failure names the layer."""
+
+    @pytest.mark.parametrize("head", ["sigmoid", "linear", "tanh"])
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    def test_every_slice_within_1e_10(self, cell, head):
+        errors = full_scale_gradient_errors(cell, head, seed=0)
+        assert list(errors) == ["arena", "layers[0]", "layers[1]",
+                                "layers[2]", "layers[3]", "head"]
+        for name, err in errors.items():
+            assert err <= 1e-10, f"{cell}-{head} {name}: {err:.3e}"
+
+    def test_flags_a_wrong_gradient_entry(self):
+        config = NetworkConfig(cell_kind="gru", layer_widths=(3, 3),
+                               dropout_rate=0.0, dropout_after_layers=(),
+                               output_activation="tanh", input_width=3)
+        params = init_params(config, 2)
+        batch = random_batch(np.random.default_rng(2), 5, 2, 3)
+
+        def loss(p):
+            return mse_loss(network_forward(p, config, batch)[0],
+                            batch.targets, batch.mask)[0]
+
+        preds, cache = network_forward(params, config, batch)
+        _, dpred = mse_loss(preds, batch.targets, batch.mask)
+        grads = network_backward(params, config, cache, dpred, batch.mask)
+        direction = np.random.default_rng(3).standard_normal(params.vector.size)
+        assert directional_gradient_error(params, loss, grads, direction) <= 1e-12
+        grads.layers[1].u[0, 0] += 1e-3
+        assert directional_gradient_error(params, loss, grads, direction) > 1e-6
 
 
 class TestCheckpoint:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pournet.data import fit_normalization, pad_and_batch, save_dataset, split_dataset
+from pournet.data import (PaddedBatch, fit_normalization, pad_and_batch,
+                          save_dataset, split_dataset)
 from pournet import training
 from pournet.network import NetworkConfig, network_backward, network_forward
 from pournet.optim import adam_step
@@ -124,6 +125,43 @@ class TestTrain:
         assert not any(np.shares_memory(params.vector, v) for v in stepped)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mini_batches_equal_pad_and_batch_bit_for_bit(self, dataset,
+                                                           monkeypatch):
+        """Mini-batches are cut from the split padded once, and each is
+        the batch pad_and_batch builds from its sequences, in every
+        epoch's shuffle order and for the short last batch."""
+        cut, fed = [], []
+        select = PaddedBatch.select
+
+        def recording_select(self, idx):
+            batch = select(self, idx)
+            cut.append((np.array(idx), batch))
+            return batch
+
+        def recording_forward(params, net, batch, mode="eval", rng=None):
+            if mode == "train":
+                fed.append(batch)
+            return network_forward(params, net, batch, mode, rng)
+
+        monkeypatch.setattr(PaddedBatch, "select", recording_select)
+        monkeypatch.setattr(training, "network_forward", recording_forward)
+        config = small_config(epochs=3)
+        _, norm, _ = train(dataset, config)
+        train_seqs = split_dataset(dataset, config.seed)[0]
+        assert len(train_seqs) == 21  # batches of 8, 8 and 5 per epoch
+        assert [len(idx) for idx, _ in cut] == [8, 8, 5] * 3
+        assert [batch for _, batch in cut] == fed
+        orders = [np.concatenate([idx for idx, _ in cut[k:k + 3]])
+                  for k in (0, 3, 6)]
+        for order in orders:
+            assert sorted(order) == list(range(21))
+        assert not np.array_equal(orders[0], orders[1])
+        for idx, batch in cut:
+            want = pad_and_batch([train_seqs[k] for k in idx], norm)
+            for name in ("inputs", "targets", "mask", "lengths"):
+                got, ref = getattr(batch, name), getattr(want, name)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
     def test_divergence_raises_with_epoch(self, dataset):
         config = small_config(head="linear", lr=1e300, epochs=4)
         with pytest.raises(TrainingDivergedError) as err:
