@@ -263,9 +263,10 @@ def _lstm_step(u3, a, h_prev, c_prev, h, c, tc):
     ifo = a[:3]
     ifo *= 0.5
     ifo += 0.5
-    i, f, o, g = a
+    i, f, o, g = a[0], a[1], a[2], a[3]
     np.multiply(f, c_prev, out=c)
-    c += i * g
+    np.multiply(i, g, out=tc)  # tc holds i * g until it holds tanh(c)
+    c += tc
     np.tanh(c, out=tc)
     np.multiply(tc, o, out=h)
     return h, c
@@ -471,7 +472,7 @@ def _bptt_lstm(p: LayerParams, grads, store, x_seq, h_seq, dh_seq, need_dx):
         d *= scale
         np.multiply(dc, f[t], out=dc_rec)
         np.matmul(d, u3t, out=dh_by_gate)
-        dh_by_gate.sum(axis=0, out=dh_rec)
+        np.add.reduce(dh_by_gate, axis=0, out=dh_rec)
     d2 = _fused_rows(delta)
     grads.u[...] = h_seq[:-1].reshape(-1, n).T @ d2[batch:]
     return _layer_grads(p, grads, x_seq, d2, need_dx)
