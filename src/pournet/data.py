@@ -1,4 +1,4 @@
-"""Pouring dataset schema: force formulas, normalization, padding and splits.
+"""Pouring dataset schema: normalization, padding, splits and files.
 
 A pouring demonstration is a variable-length sequence of (rotation angle,
 sensed weight) steps plus eight static container/material features. The

@@ -360,7 +360,11 @@ class TestGradcheck:
         assert full.startswith("full scale (default stack, train mode): "
                                "max directional error ")
 
-    def test_impossible_tolerance_fails(self):
+    def test_impossible_tolerance_fails(self, monkeypatch):
+        # the toy checks alone exceed 1e-18; the test above runs the
+        # full-scale check for real
+        monkeypatch.setattr(pournet.cli, "full_scale_gradient_errors",
+                            lambda *args, **kwargs: {"head": 0.0})
         assert run(["gradcheck", "--seed", "7", "--tol", "1e-18"]) == 1
 
     @pytest.mark.parametrize("toy,full", [(float("nan"), 0.0),
@@ -370,8 +374,8 @@ class TestGradcheck:
         monkeypatch.setattr(pournet.cli, "check_network_gradients",
                             lambda *args, **kwargs: toy)
         monkeypatch.setattr(pournet.cli, "full_scale_gradient_errors",
-                            lambda *args, **kwargs: {"arena": 0.0,
-                                                     "layers[2]": full})
+                            lambda *args, **kwargs: {"layers[2]": full,
+                                                     "head": 0.0})
         assert run(["gradcheck"]) == 1
         captured = capsys.readouterr()
         assert "gradient check failed, nan" in captured.err

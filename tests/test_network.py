@@ -654,15 +654,15 @@ class TestComplexStepOracle:
 
 class TestFullScaleGradient:
     """Directional complex-step checks on the default 4x16 stack in train
-    mode: one direction over the whole arena and one within each layer's
-    slice, so a failure names the layer."""
+    mode, one direction within each layer's parameters, so a failure
+    names the layer."""
 
     @pytest.mark.parametrize("head", ["sigmoid", "linear", "tanh"])
     @pytest.mark.parametrize("cell", ["lstm", "gru"])
     def test_every_slice_within_1e_10(self, cell, head):
         errors = full_scale_gradient_errors(cell, head, seed=0)
-        assert list(errors) == ["arena", "layers[0]", "layers[1]",
-                                "layers[2]", "layers[3]", "head"]
+        assert list(errors) == ["layers[0]", "layers[1]", "layers[2]",
+                                "layers[3]", "head"]
         for name, err in errors.items():
             assert err <= 1e-10, f"{cell}-{head} {name}: {err:.3e}"
 
