@@ -77,16 +77,16 @@ def check_network_gradients(cell_kind, output_activation: str, seed: int,
 
 
 def directional_gradient_error(params, loss_fn, grads, direction,
-                               epsilon: float = 1e-30,
-                               floor: float = 1e-8) -> float:
+                               epsilon: float = 1e-30) -> float:
     """Relative error of vdot(grads, direction) against the complex-step
     directional derivative Im loss_fn(params + i epsilon direction) /
-    epsilon, over max(|both|, floor). params is not modified."""
+    epsilon, over max(|both|, 1e-8) as in max_relative_error. params is
+    not modified."""
     probe = NetworkParams(params.layout,
                           params.vector + 1j * epsilon * direction)
     numeric = float(np.imag(loss_fn(probe))) / epsilon
     analytic = float(np.vdot(grads.vector, direction))
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
 
 
 def _layer_of(leaf: str) -> str:
