@@ -14,7 +14,6 @@ from .network import (CellKind, ForwardCache, LayerParams, NetworkConfig,
 from .optim import AdamState, NonFiniteGradientError, adam_step, init_adam, mse_loss
 from .synth import SynthParams, generate_dataset, generate_sequence
 from .training import (TrainConfig, TrainingDivergedError, TrainReport,
-                       evaluate_model, export_loss_curve, export_prediction,
-                       predict, train)
+                       export_loss_curve, export_prediction, predict, train)
 
 __version__ = "0.1.0"

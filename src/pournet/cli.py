@@ -23,8 +23,8 @@ from .dtw import _write_alignment, dtw_exact, fastdtw, score_testset
 from .gradcheck import check_network_gradients, full_scale_gradient_errors
 from .network import CellKind, NetworkConfig, load_checkpoint, save_checkpoint
 from .synth import SynthParams, generate_dataset
-from .training import (TrainConfig, evaluate_model, export_loss_curve,
-                       export_prediction, predict, train)
+from .training import (TrainConfig, export_loss_curve, export_prediction,
+                       predict, train)
 
 CELLS = ("lstm", "gru")
 
@@ -194,7 +194,8 @@ def _cmd_eval_dtw(args) -> int:
     seqs = _load_output_dataset(args.data)
     if not seqs:
         raise ValueError(f"{args.data}: no sequences to score")
-    pairs = evaluate_model(params, net, norm, seqs)
+    curves = predict(params, net, norm, seqs)
+    pairs = [(curve, seq.weights) for curve, seq in zip(curves, seqs)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     score = score_testset(pairs, args.radius)

@@ -23,11 +23,13 @@ from .network import (NetworkConfig, NetworkParams, init_params,
                       network_backward, network_forward, numerical_gradient)
 from .optim import mse_loss
 
+ERROR_FLOOR = 1e-8  # least denominator of a relative gradient error
 
-def max_relative_error(analytic, numeric, floor: float = 1e-8) -> float:
-    """Worst |a - n| / max(|a|, |n|, floor) over all parameter entries."""
+
+def max_relative_error(analytic, numeric) -> float:
+    """Worst |a - n| / max(|a|, |n|, ERROR_FLOOR) over all parameter entries."""
     a, n = analytic.vector, numeric.vector
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), ERROR_FLOOR)
     return float(np.max(np.abs(a - n) / denom))
 
 
@@ -80,13 +82,14 @@ def directional_gradient_error(params, loss_fn, grads, direction,
                                epsilon: float = 1e-30) -> float:
     """Relative error of vdot(grads, direction) against the complex-step
     directional derivative Im loss_fn(params + i epsilon direction) /
-    epsilon, over max(|both|, 1e-8) as in max_relative_error. params is
-    not modified."""
+    epsilon, over max(|both|, ERROR_FLOOR) as in max_relative_error. params
+    is not modified."""
     probe = NetworkParams(params.layout,
                           params.vector + 1j * epsilon * direction)
     numeric = float(np.imag(loss_fn(probe))) / epsilon
     analytic = float(np.vdot(grads.vector, direction))
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+    return abs(analytic - numeric) / max(abs(analytic), abs(numeric),
+                                         ERROR_FLOOR)
 
 
 def _layer_of(leaf: str) -> str:

@@ -82,7 +82,7 @@ class NetworkConfig:
     dropout_rate: float = 0.5
     dropout_after_layers: tuple = (2, 4)  # 1-based layer indices
     output_activation: str = "sigmoid"
-    input_width: int = 9
+    input_width: int = NUM_INPUT_FEATURES
 
     def __post_init__(self):
         kind = self.cell_kind
@@ -182,10 +182,10 @@ class ForwardCache:
 # ---------------------------------------------------------------------------
 # activations
 
-def sigmoid(x, out=None):
+def sigmoid(x):
     """Logistic function as 0.5 * (1 + tanh(x / 2)): stable for any x,
-    without branches; out may alias x."""
-    out = np.multiply(x, 0.5, out=out)
+    without branches."""
+    out = np.multiply(x, 0.5)
     np.tanh(out, out=out)
     out *= 0.5
     out += 0.5

@@ -58,33 +58,29 @@ class AdamState:
     lr: float = 0.01
 
 
-def init_adam(params, lr: float = 0.01) -> AdamState:
-    p = params.vector if isinstance(params, NetworkParams) else params
-    return AdamState(m=np.zeros_like(p), v=np.zeros_like(p), t=0, lr=lr)
+def init_adam(params: NetworkParams, lr: float = 0.01) -> AdamState:
+    return AdamState(m=np.zeros_like(params.vector),
+                     v=np.zeros_like(params.vector), t=0, lr=lr)
 
 
-def adam_step(state: AdamState, params, grads):
+def adam_step(state: AdamState, params: NetworkParams, grads: NetworkParams):
     """One Adam update; returns (new state, new params), inputs untouched.
 
-    params and grads are NetworkParams of one layout or plain float64
-    arrays of one shape; the update is a few ufuncs on the whole vector.
+    params and grads are NetworkParams of one layout; the update is a few
+    ufuncs on the whole vector.
     """
-    arena = isinstance(params, NetworkParams)
-    if arena and not (isinstance(grads, NetworkParams)
-                      and grads.layout == params.layout):
+    if not (isinstance(grads, NetworkParams) and grads.layout == params.layout):
         raise ValueError("gradients do not have the parameters' layout")
-    p, g = (params.vector, grads.vector) if arena else (params, grads)
+    g = grads.vector
     # a finite sum of squares proves every entry finite; only a NaN, an
     # infinity or an overflow of the sum sends the scan through the leaves
     if not np.isfinite(np.vdot(g, g)):
-        for path, leaf in grads.leaves if arena else [("the gradient", g)]:
+        for path, leaf in grads.leaves:
             if not np.isfinite(leaf).all():
                 raise NonFiniteGradientError(f"non-finite gradient at {path}")
     t = state.t + 1
     m = BETA1 * state.m + (1.0 - BETA1) * g
     v = BETA2 * state.v + (1.0 - BETA2) * g * g
     bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
-    p = p - state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-    if arena:
-        p = NetworkParams(params.layout, p)
-    return replace(state, m=m, v=v, t=t), p
+    p = params.vector - state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    return replace(state, m=m, v=v, t=t), NetworkParams(params.layout, p)

@@ -78,11 +78,11 @@ def weight_profile(thetas, spill_angle_deg: float, f_init: float,
 
 
 def generate_sequence(params: SynthParams, rng: np.random.Generator,
-                      seq_id: str | None = None) -> PouringSequence:
+                      seq_id: str) -> PouringSequence:
     """Sample one pouring demonstration from the generator model."""
     t_min, t_max = params.length_range
     num_steps = int(rng.integers(t_min, t_max + 1))
-    material, rho = MATERIALS[int(rng.integers(len(MATERIALS)))]
+    _, rho = MATERIALS[int(rng.integers(len(MATERIALS)))]
     d_cup = rng.uniform(*D_CUP_RANGE)
     h_cup = rng.uniform(*H_CUP_RANGE)
     d_cta = rng.uniform(*D_CTA_RANGE)
@@ -110,8 +110,6 @@ def generate_sequence(params: SynthParams, rng: np.random.Generator,
         observed = np.maximum(latent + params.noise_std * noise, f_empty)
     else:
         observed = latent
-    if seq_id is None:
-        seq_id = f"synth-{material}-{rng.integers(2 ** 63):016x}"
 
     statics = StaticFeatures(f_init=f_init, f_empty=f_empty, f_final=latent[-1],
                              d_cup=d_cup, h_cup=h_cup, d_cta=d_cta,

@@ -176,16 +176,6 @@ def predict(params, net: NetworkConfig, norm, seqs) -> list:
     return curves
 
 
-def evaluate_model(params, net: NetworkConfig, norm, testset):
-    """Predict every test sequence; returns (predicted, actual) pairs.
-
-    Actual curves are each sequence's own read-only weights array.
-    """
-    testset = list(testset)
-    return [(curve, seq.weights)
-            for curve, seq in zip(predict(params, net, norm, testset), testset)]
-
-
 def export_loss_curve(report: TrainReport, path) -> None:
     """Write epoch,train_loss,val_loss rows, one per epoch."""
     with open(path, "w", encoding="utf-8") as fh:

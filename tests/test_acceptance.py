@@ -178,6 +178,7 @@ def test_criterion_8_invariant_suites():
     sibling test modules and run with this suite; this entry spot-checks
     one invariant per module family."""
     from pournet.data import fit_normalization
+    from pournet.network import NetworkParams
     from pournet.optim import adam_step, init_adam
 
     rng = np.random.default_rng(99)
@@ -191,9 +192,10 @@ def test_criterion_8_invariant_suites():
     b = rng.standard_normal(25)
     assert dtw_exact(a, b).distance == dtw_exact(b, a).distance
 
-    params = rng.standard_normal(16)
-    state = init_adam(params)
-    _, updated = adam_step(state, params, rng.standard_normal(16) * 1e6)
-    assert np.all(np.isfinite(updated))
+    head_only = (("w_out", (1, 15)), ("b_out", (1,)))
+    params = NetworkParams(head_only, rng.standard_normal(16))
+    grads = NetworkParams(head_only, rng.standard_normal(16) * 1e6)
+    _, updated = adam_step(init_adam(params), params, grads)
+    assert np.all(np.isfinite(updated.vector))
     announce(8, "module invariant suites are encoded as property tests "
                 "(tests/test_*.py) and pass alongside these spot checks")

@@ -17,7 +17,7 @@ from pournet.cli import run
 from pournet.data import load_dataset
 from pournet.dtw import export_alignment
 from pournet.network import load_checkpoint
-from pournet.training import evaluate_model
+from pournet.training import predict
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +220,8 @@ class TestPredictAndEval:
         assert calls == []
         seqs = load_dataset(data_file)
         params, net, norm = load_checkpoint(model_file)
-        for seq, (pred, actual) in zip(seqs, evaluate_model(params, net, norm,
-                                                            seqs)):
+        for seq, pred in zip(seqs, predict(params, net, norm, seqs)):
+            actual = seq.weights
             direct = tmp_path / "direct.csv"
             export_alignment(pournet.dtw.fastdtw(pred, actual, 1), pred,
                              actual, direct)
@@ -242,7 +242,7 @@ class TestPredictAndEval:
                                                 data_file, tmp_path,
                                                 monkeypatch, capsys):
         predicted = []
-        monkeypatch.setattr(pournet.cli, "evaluate_model",
+        monkeypatch.setattr(pournet.cli, "predict",
                             lambda *args: predicted.append(1))
         data, radius = data_file, "1"
         if case == "empty data":
@@ -308,8 +308,6 @@ class TestPredictAndEval:
         edit, message = self.BAD_RECORDS[case]
         predicted = []
         monkeypatch.setattr(pournet.cli, "predict",
-                            lambda *args: predicted.append(1))
-        monkeypatch.setattr(pournet.cli, "evaluate_model",
                             lambda *args: predicted.append(1))
         records = [json.loads(line)
                    for line in data_file.read_text().splitlines()[:5]]

@@ -9,6 +9,14 @@ from pournet.optim import (BETA1, BETA2, EPS, NonFiniteGradientError,
                            adam_step, init_adam, mse_loss)
 
 
+def arena(values):
+    """A copy of values as the vector of a head-only arena (w_out, b_out),
+    the smallest layout NetworkParams holds."""
+    values = np.array(values, dtype=np.float64)
+    return NetworkParams((("w_out", (1, values.size - 1)), ("b_out", (1,))),
+                         values)
+
+
 class TestMSELoss:
     def test_perfect_prediction(self):
         loss, grad = mse_loss([1.0, 2.0], [1.0, 2.0], [1.0, 1.0])
@@ -91,58 +99,61 @@ class TestMSELoss:
 
 class TestAdamStep:
     def test_first_step_closed_form(self):
-        params = np.zeros(1)
+        params = arena(np.zeros(1))
         state = init_adam(params, lr=0.01)
-        grads = np.array([0.5])
+        grads = arena([0.5])
         state2, params2 = adam_step(state, params, grads)
         # single step collapses to -lr * g / (|g| + eps)
         expected = -0.01 * 0.5 / (0.5 + 1e-8)
-        assert params2[0] == pytest.approx(expected, rel=1e-15)
-        assert params2[0] == pytest.approx(-0.009999999800000003, rel=1e-15)
+        assert params2.vector[0] == pytest.approx(expected, rel=1e-15)
+        assert params2.vector[0] == pytest.approx(-0.009999999800000003,
+                                                  rel=1e-15)
         assert state2.t == 1
 
     def test_zero_gradient_keeps_params(self):
-        params = np.array([1.5, -2.5])
+        params = arena([1.5, -2.5])
         state = init_adam(params)
-        _, params2 = adam_step(state, params, np.zeros(2))
-        assert np.array_equal(params2, params)
+        _, params2 = adam_step(state, params, arena(np.zeros(2)))
+        assert np.array_equal(params2.vector, params.vector)
 
     def test_constant_gradient_update_approaches_lr(self):
-        params = np.zeros(3)
+        params = arena(np.zeros(3))
         state = init_adam(params, lr=0.01)
-        grads = np.full(3, 0.3)
-        previous = params
+        grads = arena(np.full(3, 0.3))
+        previous = params.vector
         for _ in range(400):
             state, params = adam_step(state, params, grads)
-            step = params - previous
-            previous = params
+            step = params.vector - previous
+            previous = params.vector
         assert np.allclose(np.abs(step), 0.01, rtol=1e-3)
 
     def test_inputs_untouched(self):
-        params = np.array([1.0, 2.0])
+        params = arena([1.0, 2.0])
         state = init_adam(params)
-        grads = np.array([0.1, -0.2])
+        grads = arena([0.1, -0.2])
         adam_step(state, params, grads)
-        assert np.array_equal(params, np.array([1.0, 2.0]))
+        assert np.array_equal(params.vector, np.array([1.0, 2.0]))
+        assert np.array_equal(grads.vector, np.array([0.1, -0.2]))
         assert np.all(state.m == 0.0) and state.t == 0
 
     def test_update_opposes_gradient_sign(self):
         rng = np.random.default_rng(3)
-        params = rng.standard_normal(32)
-        grads = rng.standard_normal(32)
-        grads[np.abs(grads) < 1e-3] = 1.0
+        params = arena(rng.standard_normal(32))
+        grads = arena(rng.standard_normal(32))
+        grads.vector[np.abs(grads.vector) < 1e-3] = 1.0
         state = init_adam(params)
         _, params2 = adam_step(state, params, grads)
-        assert np.all(np.sign(params2 - params) == -np.sign(grads))
+        assert np.all(np.sign(params2.vector - params.vector)
+                      == -np.sign(grads.vector))
 
     def test_finite_outputs_for_rough_inputs(self):
         rng = np.random.default_rng(4)
-        params = rng.standard_normal(64) * 1e6
+        params = arena(rng.standard_normal(64) * 1e6)
         state = init_adam(params, lr=0.5)
         for k in range(50):
-            grads = rng.standard_normal(64) * 10.0 ** rng.integers(-8, 8)
+            grads = arena(rng.standard_normal(64) * 10.0 ** rng.integers(-8, 8))
             state, params = adam_step(state, params, grads)
-            assert np.all(np.isfinite(params))
+            assert np.all(np.isfinite(params.vector))
             assert np.all(state.v >= 0.0)
 
     def test_non_finite_gradient_names_path(self):
@@ -208,6 +219,6 @@ class TestAdamStep:
 
 class TestAdamState:
     def test_defaults(self):
-        state = init_adam(np.zeros(2))
+        state = init_adam(arena(np.zeros(2)))
         assert (state.lr, BETA1, BETA2, EPS) == (0.01, 0.9, 0.999, 1e-8)
         assert state.t == 0

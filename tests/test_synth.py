@@ -50,33 +50,33 @@ class TestAngleRamp:
 class TestGenerateSequence:
     def test_noiseless_sequence_matches_statics(self):
         for i in range(20):
-            seq = generate_sequence(NOISELESS, np.random.default_rng(i))
+            seq = generate_sequence(NOISELESS, np.random.default_rng(i), "s")
             weights = seq.weights
             assert weights[0] == seq.statics.f_init
             assert weights[-1] == seq.statics.f_final
             assert np.all(np.diff(weights) <= 0.0)
 
     def test_angles_monotone_from_zero(self):
-        seq = generate_sequence(NOISELESS, np.random.default_rng(5))
+        seq = generate_sequence(NOISELESS, np.random.default_rng(5), "s")
         thetas = seq.thetas
         assert thetas[0] == 0.0
         assert np.all(np.diff(thetas) > 0.0)
 
     def test_same_seed_identical(self):
-        a = generate_sequence(NOISELESS, np.random.default_rng(123))
-        b = generate_sequence(NOISELESS, np.random.default_rng(123))
+        a = generate_sequence(NOISELESS, np.random.default_rng(123), "s")
+        b = generate_sequence(NOISELESS, np.random.default_rng(123), "s")
         assert a == b
 
     def test_noise_clamped_at_empty_weight(self):
         params = SynthParams(num_sequences=1, noise_std=0.5, seed=0)
         for i in range(10):
-            seq = generate_sequence(params, np.random.default_rng(i))
+            seq = generate_sequence(params, np.random.default_rng(i), "s")
             assert np.all(seq.weights >= seq.statics.f_empty)
 
     def test_lengths_within_range(self):
         params = SynthParams(num_sequences=1, length_range=(6, 9), seed=0)
-        lengths = {len(generate_sequence(params, np.random.default_rng(i)))
-                   for i in range(60)}
+        lengths = {len(generate_sequence(params, np.random.default_rng(i),
+                                         "s")) for i in range(60)}
         assert lengths <= set(range(6, 10))
         assert len(lengths) > 1
 

@@ -10,8 +10,8 @@ from pournet.network import NetworkConfig, network_backward, network_forward
 from pournet.optim import adam_step
 from pournet.synth import SynthParams, generate_dataset
 from pournet.training import (TrainConfig, TrainingDivergedError, TrainReport,
-                              evaluate_model, export_loss_curve,
-                              export_prediction, predict, train)
+                              export_loss_curve, export_prediction, predict,
+                              train)
 
 
 @pytest.fixture(scope="module")
@@ -274,30 +274,13 @@ class TestPredict:
             np.testing.assert_allclose(curve, by_id[seq.id], rtol=0.0,
                                        atol=1e-12)
 
-
-class TestEvaluateModel:
-    def test_pairs_and_passthrough(self, dataset):
-        config = small_config(epochs=1)
-        params, norm, _ = train(dataset, config)
-        pairs = evaluate_model(params, config.network, norm, dataset[:7])
-        assert len(pairs) == 7
-        for seq, (pred_curve, actual) in zip(dataset[:7], pairs):
-            assert len(pred_curve) == len(seq)
-            assert np.array_equal(actual, seq.weights)
-
-    def test_empty_testset(self, dataset):
-        config = small_config(epochs=1)
-        params, norm, _ = train(dataset, config)
-        assert evaluate_model(params, config.network, norm, []) == []
-
     def test_unseen_set_of_289_sequences(self, trained):
         params, net, norm = trained
         unseen = generate_dataset(SynthParams(num_sequences=289,
                                               noise_std=0.01, seed=77))
-        pairs = evaluate_model(params, net, norm, unseen)
-        assert len(pairs) == 289
-        assert all(len(p) == len(a) == len(s)
-                   for s, (p, a) in zip(unseen, pairs))
+        curves = predict(params, net, norm, unseen)
+        assert len(curves) == 289
+        assert all(len(c) == len(s) for s, c in zip(unseen, curves))
 
 
 class TestExports:
