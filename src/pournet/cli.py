@@ -18,6 +18,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data import HEADS, load_dataset, save_dataset
 from .dtw import _write_alignment, dtw_exact, fastdtw, score_testset
 from .gradcheck import check_network_gradients, full_scale_gradient_errors
@@ -176,12 +178,24 @@ def _load_output_dataset(path):
     return seqs
 
 
+def _finite_predictions(model_path, seqs, params, net, norm) -> list:
+    """predict's curves for seqs; raises ValueError naming the checkpoint
+    and the sequence id for a curve that is not finite."""
+    curves = predict(params, net, norm, seqs)
+    for seq, curve in zip(seqs, curves):
+        if not np.isfinite(curve).all():
+            raise ValueError(f"{model_path}: predicted curve for {seq.id!r} "
+                             f"is not finite")
+    return curves
+
+
 def _cmd_predict(args) -> int:
     params, net, norm = load_checkpoint(args.model)
     seqs = _load_output_dataset(args.data)
+    curves = _finite_predictions(args.model, seqs, params, net, norm)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for seq, curve in zip(seqs, predict(params, net, norm, seqs)):
+    for seq, curve in zip(seqs, curves):
         export_prediction(seq, curve, out_dir / f"pred_{seq.id}.csv")
     print(f"wrote {len(seqs)} prediction files to {out_dir}")
     return 0
@@ -194,11 +208,11 @@ def _cmd_eval_dtw(args) -> int:
     seqs = _load_output_dataset(args.data)
     if not seqs:
         raise ValueError(f"{args.data}: no sequences to score")
-    curves = predict(params, net, norm, seqs)
+    curves = _finite_predictions(args.model, seqs, params, net, norm)
     pairs = [(curve, seq.weights) for curve, seq in zip(curves, seqs)]
+    score = score_testset(pairs, args.radius)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    score = score_testset(pairs, args.radius)
     # fastdtw checked both curves and built each path, so the rows are
     # written without export_alignment's second check
     for seq, (pred_curve, actual_curve), result in zip(seqs, pairs,

@@ -548,13 +548,12 @@ def save_checkpoint(path, params: NetworkParams, config: NetworkConfig,
 
     The container is a stored (uncompressed) zip with fixed entry
     timestamps so identical inputs produce byte-identical files. Layer i
-    is stored fused, as layers[i].w, layers[i].u and layers[i].b.
-    Raises ValueError, before writing, when norm's mode is not the
-    config's output activation, which load_checkpoint would refuse.
+    is stored fused, as layers[i].w, layers[i].u and layers[i].b. The
+    file is built in memory and read back as load_checkpoint reads it, so
+    anything the loader would refuse (a non-finite weight, norm's mode
+    other than the config's output activation) raises ValueError naming
+    path before the file is created.
     """
-    if norm.mode != config.output_activation:
-        raise ValueError(f"normalization mode {norm.mode!r} does not match "
-                         f"output_activation {config.output_activation!r}")
     meta = {f.name: getattr(config, f.name) for f in fields(NetworkConfig)}
     meta.update(format=_CHECKPOINT_FORMAT, cell_kind=config.cell_kind.value,
                 output_width=1, norm_mode=norm.mode,
@@ -562,14 +561,18 @@ def save_checkpoint(path, params: NetworkParams, config: NetworkConfig,
     entries = [("norm_input_mean", norm.input_mean),
                ("norm_input_std", norm.input_std)]
     entries.extend(params.leaves)
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_STORED) as zf:
         info = zipfile.ZipInfo(_CHECKPOINT_META, date_time=(1980, 1, 1, 0, 0, 0))
         zf.writestr(info, json.dumps(meta, sort_keys=True))
         for name, arr in entries:
-            buf = io.BytesIO()
-            _npy_format.write_array(buf, np.ascontiguousarray(arr))
+            npy = io.BytesIO()
+            _npy_format.write_array(npy, np.ascontiguousarray(arr))
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
+            zf.writestr(info, npy.getvalue())
+    _open_checkpoint(path, buf)
+    with open(path, "wb") as fh:
+        fh.write(buf.getvalue())
 
 
 def load_checkpoint(path):
@@ -579,34 +582,39 @@ def load_checkpoint(path):
     is incomplete or invalid; every array must be finite float64 of its
     expected shape, and the message names a bad one.
     """
+    return _open_checkpoint(path, path)
+
+
+def _open_checkpoint(path, source):
+    """_read_checkpoint of the zip in source, the file at path or its
+    bytes; raises ValueError naming path."""
     try:
-        with zipfile.ZipFile(path, "r") as zf:
+        with zipfile.ZipFile(source, "r") as zf:
             return _read_checkpoint(zf)
     except (zipfile.BadZipFile, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def _read_checkpoint(zf: zipfile.ZipFile):
+    """Settings come only from meta.json and arrays only from the .npy
+    entries, so neither can stand in for the other."""
     if _CHECKPOINT_META not in zf.namelist():
         raise ValueError(f"checkpoint has no {_CHECKPOINT_META}")
     meta = json.loads(zf.read(_CHECKPOINT_META).decode("utf-8"))
-    arrays = {}
-    for name in zf.namelist():
-        if name.endswith(".npy"):
-            arrays[name[:-4]] = _npy_format.read_array(io.BytesIO(zf.read(name)))
     found = meta.get("format") if isinstance(meta, dict) else None
     if found != _CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {found!r} is not "
                          f"{_CHECKPOINT_FORMAT!r}")
-    entries = {**arrays, **meta}
+    arrays = {name[:-4]: _npy_format.read_array(io.BytesIO(zf.read(name)))
+              for name in zf.namelist() if name.endswith(".npy")}
 
-    def need(key):
+    def need(key, entries=meta):
         if key not in entries:
             raise ValueError(f"checkpoint is missing {key!r}")
         return entries[key]
 
     def need_array(name, shape):
-        arr = np.asarray(need(name))
+        arr = np.asarray(need(name, arrays))
         if arr.dtype != np.float64 or arr.shape != shape:
             raise ValueError(f"checkpoint array {name} is {arr.dtype} "
                              f"{arr.shape}, not float64 {shape}")
@@ -615,11 +623,11 @@ def _read_checkpoint(zf: zipfile.ZipFile):
         return arr
 
     if need("output_width") != 1:
-        raise ValueError(f"checkpoint output_width {entries['output_width']!r} "
+        raise ValueError(f"checkpoint output_width {meta['output_width']!r} "
                          f"is not 1, the width of the dense head")
     config = NetworkConfig(**{f.name: need(f.name) for f in fields(NetworkConfig)})
     if need("norm_mode") != config.output_activation:
-        raise ValueError(f"checkpoint norm_mode {entries['norm_mode']!r} does not "
+        raise ValueError(f"checkpoint norm_mode {meta['norm_mode']!r} does not "
                          f"match its output_activation {config.output_activation!r}")
     norm = NormalizationSpec(
         mode=config.output_activation, target_min=need("norm_target_min"),

@@ -1,7 +1,9 @@
 """End-to-end command-line workflow in temporary directories."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -16,7 +18,7 @@ import pournet.dtw
 from pournet.cli import run
 from pournet.data import load_dataset
 from pournet.dtw import export_alignment
-from pournet.network import load_checkpoint
+from pournet.network import load_checkpoint, save_checkpoint
 from pournet.training import predict
 
 
@@ -323,6 +325,27 @@ class TestPredictAndEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data}: ") and message in err
         assert predicted == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval-dtw"])
+    def test_non_finite_prediction_refused_before_writing(
+            self, command, model_file, data_file, tmp_path, capsys):
+        """A linear head with every w_out entry at 1e308 overflows on real
+        inputs; the error names the checkpoint and the sequence."""
+        params, net, norm = load_checkpoint(model_file)
+        params.w_out[...] = 1e308
+        bad = tmp_path / "huge.npz"
+        save_checkpoint(bad, params,
+                        dataclasses.replace(net, output_activation="linear"),
+                        dataclasses.replace(norm, mode="linear"))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run([command, "--model", str(bad), "--data",
+                        str(data_file), "--out", str(out)])
+        assert code == 1
+        assert re.fullmatch(rf"error: {re.escape(str(bad))}: predicted curve "
+                            r"for 'synth-\d{5}' is not finite\n",
+                            capsys.readouterr().err)
         assert not out.exists()
 
     def test_outputs_independent_of_blas_thread_count(self, model_file,

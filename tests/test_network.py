@@ -727,6 +727,21 @@ class TestCheckpoint:
         assert "'tanh'" in str(err.value) and "'sigmoid'" in str(err.value)
         assert not path.exists()
 
+    def test_non_finite_weight_refused_before_writing(self, tmp_path):
+        """save_checkpoint reads the file back in memory, so it refuses
+        what load_checkpoint refuses before the file exists."""
+        config = NetworkConfig(cell_kind="gru", layer_widths=(4,),
+                               dropout_rate=0.0, dropout_after_layers=(),
+                               output_activation="tanh", input_width=9)
+        params = init_params(config, 27)
+        params.layers[0].u[1, 2] = np.nan
+        path = tmp_path / "model.npz"
+        with pytest.raises(ValueError) as err:
+            save_checkpoint(path, params, config, self.make_norm())
+        assert str(err.value).startswith(f"{path}: ")
+        assert "layers[0].u" in str(err.value)
+        assert not path.exists()
+
     def test_meta_keys_are_the_v2_format(self, tmp_path):
         """A NetworkConfig field added later changes these keys, and with
         them the checkpoint format."""
@@ -759,6 +774,17 @@ class TestCheckpoint:
                     edit(meta)
                     data = json.dumps(meta).encode("utf-8")
                 dst.writestr(name, data)
+
+    def test_meta_key_cannot_shadow_stored_array(self, tmp_path):
+        """Settings come only from meta.json and arrays only from their
+        .npy entries, so a meta.json that also holds "b_out" loads the
+        stored array."""
+        path = tmp_path / "model.npz"
+        self.rewrite_meta(path, lambda meta: meta.update(b_out=[5.0]))
+        params, _, _ = load_checkpoint(path)
+        stored, _, _ = load_checkpoint(path.with_suffix(".orig.npz"))
+        assert stored.b_out[0] != 5.0
+        assert np.array_equal(params.vector, stored.vector)
 
     def test_other_format_rejected_with_file_and_format(self, tmp_path):
         path = tmp_path / "old.npz"
