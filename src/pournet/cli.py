@@ -209,16 +209,15 @@ def _cmd_eval_dtw(args) -> int:
     if not seqs:
         raise ValueError(f"{args.data}: no sequences to score")
     curves = _finite_predictions(args.model, seqs, params, net, norm)
-    pairs = [(curve, seq.weights) for curve, seq in zip(curves, seqs)]
-    score = score_testset(pairs, args.radius)
+    score = score_testset(zip(curves, (seq.weights for seq in seqs)),
+                          args.radius)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # fastdtw checked both curves and built each path, so the rows are
     # written without export_alignment's second check
-    for seq, (pred_curve, actual_curve), result in zip(seqs, pairs,
-                                                       score.results):
-        _write_alignment(result.path, pred_curve.tolist(),
-                         actual_curve.tolist(), out_dir / f"align_{seq.id}.csv")
+    for seq, curve, result in zip(seqs, curves, score.results):
+        _write_alignment(result.path, curve.tolist(), seq.weights.tolist(),
+                         out_dir / f"align_{seq.id}.csv")
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("id,distance\n")
@@ -228,7 +227,7 @@ def _cmd_eval_dtw(args) -> int:
         fh.write(f"median,{score.median!r}\n")
         fh.write(f"min,{score.min!r}\n")
         fh.write(f"max,{score.max!r}\n")
-    print(f"scored {len(pairs)} sequences: mean {score.mean:.6g} "
+    print(f"scored {len(seqs)} sequences: mean {score.mean:.6g} "
           f"median {score.median:.6g} -> {summary_path}")
     return 0
 
