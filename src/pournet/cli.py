@@ -178,7 +178,7 @@ def _load_output_dataset(path):
     return seqs
 
 
-def _finite_predictions(model_path, seqs, params, net, norm) -> list:
+def _finite_predictions(model_path, params, net, norm, seqs) -> list:
     """predict's curves for seqs; raises ValueError naming the checkpoint
     and the sequence id for a curve that is not finite."""
     curves = predict(params, net, norm, seqs)
@@ -192,7 +192,7 @@ def _finite_predictions(model_path, seqs, params, net, norm) -> list:
 def _cmd_predict(args) -> int:
     params, net, norm = load_checkpoint(args.model)
     seqs = _load_output_dataset(args.data)
-    curves = _finite_predictions(args.model, seqs, params, net, norm)
+    curves = _finite_predictions(args.model, params, net, norm, seqs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for seq, curve in zip(seqs, curves):
@@ -208,7 +208,7 @@ def _cmd_eval_dtw(args) -> int:
     seqs = _load_output_dataset(args.data)
     if not seqs:
         raise ValueError(f"{args.data}: no sequences to score")
-    curves = _finite_predictions(args.model, seqs, params, net, norm)
+    curves = _finite_predictions(args.model, params, net, norm, seqs)
     score = score_testset(zip(curves, (seq.weights for seq in seqs)),
                           args.radius)
     out_dir = Path(args.out)
