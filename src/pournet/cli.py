@@ -23,12 +23,13 @@ import numpy as np
 from .data import HEADS, load_dataset, save_dataset
 from .dtw import _write_alignment, dtw_exact, fastdtw, score_testset
 from .gradcheck import check_network_gradients, full_scale_gradient_errors
-from .network import CellKind, NetworkConfig, load_checkpoint, save_checkpoint
+from .network import (COMPLEX_STEP, CellKind, NetworkConfig, load_checkpoint,
+                      save_checkpoint)
 from .synth import SynthParams, generate_dataset
 from .training import (TrainConfig, export_loss_curve, export_prediction,
                        predict, train)
 
-CELLS = ("lstm", "gru")
+CELLS = tuple(kind.value for kind in CellKind)
 
 
 class UsageError(ValueError):
@@ -102,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify BPTT against complex-step derivatives")
     p.add_argument("--seed", type=int, default=0,
                    help="batch/init seed (default: 0)")
-    p.add_argument("--eps", type=float, default=1e-30,
-                   help="complex step h (default: 1e-30)")
+    p.add_argument("--eps", type=float, default=COMPLEX_STEP,
+                   help=f"complex step h (default: {COMPLEX_STEP:g})")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="max relative error allowed (default: 1e-4)")
     p.set_defaults(func=_cmd_gradcheck)

@@ -14,31 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-INPUT_FEATURES = (
-    "theta",
-    "f_init",
-    "f_empty",
-    "f_final",
-    "d_cup",
-    "h_cup",
-    "d_cta",
-    "h_cta",
-    "rho",
-)
-NUM_INPUT_FEATURES = len(INPUT_FEATURES)
-_STATIC_FIELDS = INPUT_FEATURES[1:]
-
 # the output heads, in the CLI's order; each fixes a target scaling
 HEADS = ("sigmoid", "linear", "tanh")
-
-
-def _coerce_float_fields(obj, names):
-    for name in names:
-        object.__setattr__(obj, name, float(getattr(obj, name)))
 
 
 class DatasetParseError(ValueError):
@@ -63,7 +44,8 @@ class StaticFeatures:
     rho: float  # material density relative to water (unitless)
 
     def __post_init__(self):
-        _coerce_float_fields(self, _STATIC_FIELDS)
+        for name in _STATIC_FIELDS:
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not all(math.isfinite(v) for v in self.as_tuple()):
             raise ValueError("static features must be finite")
         if not self.f_empty <= self.f_final <= self.f_init:
@@ -77,6 +59,11 @@ class StaticFeatures:
 
     def as_tuple(self):
         return tuple(getattr(self, name) for name in _STATIC_FIELDS)
+
+
+_STATIC_FIELDS = tuple(f.name for f in fields(StaticFeatures))
+INPUT_FEATURES = ("theta", *_STATIC_FIELDS)
+NUM_INPUT_FEATURES = len(INPUT_FEATURES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,33 +173,33 @@ class NormalizationSpec:
 
 @dataclass(eq=False)
 class PaddedBatch:
-    """Fixed-length, mask-annotated batch in time-major layout.
+    """Fixed-length batch in time-major layout.
 
     inputs[t, b, :] holds the normalized features of sequence b at step t
-    for t < lengths[b] and zeros afterwards; mask flags the real steps.
+    for t < lengths[b] and zeros afterwards; mask, computed from lengths,
+    flags the real steps.
     """
 
     inputs: np.ndarray  # [T_max, B, F]
     targets: np.ndarray  # [T_max, B]
-    mask: np.ndarray  # [T_max, B] of {0.0, 1.0}
     lengths: np.ndarray  # [B]
 
     def __post_init__(self):
         t_max, b = self.targets.shape
         if self.inputs.shape[:2] != (t_max, b) or self.inputs.ndim != 3:
             raise ValueError("inputs must be [T_max, B, F]")
-        if self.mask.shape != (t_max, b):
-            raise ValueError("mask must match targets shape")
         if self.lengths.shape != (b,):
             raise ValueError("lengths must have one entry per batch member")
         if np.any(self.lengths < 1) or np.any(self.lengths > t_max):
             raise ValueError("lengths must lie in [1, T_max]")
-        expected = (np.arange(t_max)[:, None] < self.lengths[None, :])
-        if not np.array_equal(self.mask, expected.astype(np.float64)):
-            raise ValueError("mask must be 1 exactly where t < lengths[b]")
-        padded = ~expected
+        padded = self.mask == 0.0
         if np.any(self.inputs[padded] != 0.0) or np.any(self.targets[padded] != 0.0):
             raise ValueError("padded cells must hold zeros")
+
+    @property
+    def mask(self) -> np.ndarray:
+        """[T_max, B] float64, 1.0 exactly where t < lengths[b]."""
+        return (np.arange(self.num_steps)[:, None] < self.lengths).astype(np.float64)
 
     @property
     def num_steps(self) -> int:
@@ -228,8 +215,7 @@ class PaddedBatch:
         lengths = self.lengths[idx]
         t = int(lengths.max())
         return PaddedBatch(inputs=self.inputs[:t, idx],
-                           targets=self.targets[:t, idx],
-                           mask=self.mask[:t, idx], lengths=lengths)
+                           targets=self.targets[:t, idx], lengths=lengths)
 
 
 def split_dataset(sequences, seed: int):
@@ -257,8 +243,6 @@ def fit_normalization(train, mode: str) -> NormalizationSpec:
     train = list(train)
     if not train:
         raise ValueError("cannot fit normalization on an empty training set")
-    if mode not in HEADS:
-        raise ValueError(f"unknown normalization mode {mode!r}")
     targets = np.concatenate([seq.weights for seq in train])
     f_min = float(targets.min())
     f_max = float(targets.max())
@@ -287,8 +271,7 @@ def pad_and_batch(seqs, spec: NormalizationSpec) -> PaddedBatch:
         n = len(seq)
         inputs[:n, i, :] = spec.normalize_inputs(seq.input_matrix())
         targets[:n, i] = spec.normalize_targets(seq.weights)
-    mask = (np.arange(t_max)[:, None] < lengths).astype(np.float64)
-    return PaddedBatch(inputs=inputs, targets=targets, mask=mask, lengths=lengths)
+    return PaddedBatch(inputs=inputs, targets=targets, lengths=lengths)
 
 
 def save_dataset(seqs, path) -> None:

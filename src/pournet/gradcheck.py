@@ -19,11 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from .data import PaddedBatch
-from .network import (NetworkConfig, NetworkParams, init_params,
+from .network import (COMPLEX_STEP, NetworkConfig, NetworkParams, init_params,
                       network_backward, network_forward, numerical_gradient)
 from .optim import mse_loss
 
 ERROR_FLOOR = 1e-8  # least denominator of a relative gradient error
+LAYER_WIDTHS, INPUT_WIDTH = (3, 3), 3  # check_network_gradients' toy stack
+NUM_STEPS, BATCH_SIZE = 4, 2  # and its batch: 2 sequences of at most 4 steps
 
 
 def max_relative_error(analytic, numeric) -> float:
@@ -41,29 +43,26 @@ def random_batch(rng, num_steps: int, batch_size: int, num_features: int,
                                size=batch_size)
         lengths[rng.integers(batch_size)] = num_steps  # keep T_max honest
     lengths = np.asarray(lengths, dtype=np.int64)
-    mask = (np.arange(num_steps)[:, None] < lengths[None, :]).astype(np.float64)
+    real = np.arange(num_steps)[:, None] < lengths
     inputs = rng.standard_normal((num_steps, batch_size, num_features))
     targets = rng.standard_normal((num_steps, batch_size))
-    inputs *= mask[:, :, None]
-    targets *= mask
-    return PaddedBatch(inputs=inputs, targets=targets, mask=mask,
-                       lengths=lengths)
+    inputs *= real[:, :, None]
+    targets *= real
+    return PaddedBatch(inputs=inputs, targets=targets, lengths=lengths)
 
 
 def check_network_gradients(cell_kind, output_activation: str, seed: int,
-                            epsilon: float = 1e-30, layer_widths=(3, 3),
-                            num_steps: int = 4, batch_size: int = 2,
-                            input_width: int = 3) -> float:
-    """Max relative BPTT-vs-complex-step error for one variant, over
-    a random batch and over the same lengths under two trailing
-    all-padding steps."""
-    config = NetworkConfig(cell_kind=cell_kind, layer_widths=layer_widths,
+                            epsilon: float = COMPLEX_STEP) -> float:
+    """Max relative BPTT-vs-complex-step error for one variant on the toy
+    stack, over a random batch and over the same lengths under two
+    trailing all-padding steps."""
+    config = NetworkConfig(cell_kind=cell_kind, layer_widths=LAYER_WIDTHS,
                            dropout_rate=0.0, dropout_after_layers=(),
                            output_activation=output_activation,
-                           input_width=input_width)
+                           input_width=INPUT_WIDTH)
     rng = np.random.default_rng(seed)
-    batch = random_batch(rng, num_steps, batch_size, input_width)
-    padded = random_batch(rng, num_steps + 2, batch_size, input_width,
+    batch = random_batch(rng, NUM_STEPS, BATCH_SIZE, INPUT_WIDTH)
+    padded = random_batch(rng, NUM_STEPS + 2, BATCH_SIZE, INPUT_WIDTH,
                           lengths=batch.lengths)
     params = init_params(config, seed)
     worst = 0.0
@@ -79,7 +78,7 @@ def check_network_gradients(cell_kind, output_activation: str, seed: int,
 
 
 def directional_gradient_error(params, loss_fn, grads, direction,
-                               epsilon: float = 1e-30) -> float:
+                               epsilon: float = COMPLEX_STEP) -> float:
     """Relative error of vdot(grads, direction) against the complex-step
     directional derivative Im loss_fn(params + i epsilon direction) /
     epsilon, over max(|both|, ERROR_FLOOR) as in max_relative_error. params
@@ -98,7 +97,7 @@ def _layer_of(leaf: str) -> str:
 
 
 def full_scale_gradient_errors(cell_kind, output_activation: str, seed: int,
-                               epsilon: float = 1e-30) -> dict:
+                               epsilon: float = COMPLEX_STEP) -> dict:
     """Directional BPTT-vs-complex-step errors on the default stack.
 
     The stack is NetworkConfig's default (4 layers of 16, dropout after

@@ -167,15 +167,18 @@ class NetworkParams:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs from one forward call."""
+    """Everything the backward pass needs from one forward call.
+
+    inputs holds num_layers + 1 arrays: entry i is what layer i + 1 reads,
+    and the last is what the head reads, after any dropout on the top layer.
+    """
 
     cell_kind: CellKind
-    layer_inputs: list  # per layer, [T, B, in_width] as seen by that layer
+    inputs: list  # [T, B, width] each
     gates: list  # per layer, {"act": [T, G, B, H] activations,
     #              LSTM "c" and "tc" = tanh(c): [T, B, H]}
     hidden: list  # per layer, [T, B, hidden]
     dropout_masks: dict  # 1-based layer index -> mask [T, B, hidden]
-    head_input: np.ndarray  # [T, B, hidden], after any top dropout
     predictions: np.ndarray  # [T, B]
 
 
@@ -355,10 +358,9 @@ def network_forward(params: NetworkParams, config: NetworkConfig, batch,
 
     x_seq = np.asarray(batch.inputs, dtype=np.float64)
     t_real = int(np.max(batch.lengths))
-    layer_inputs, gates, hidden = [], [], []
+    inputs, gates, hidden = [x_seq], [], []
     dropout_masks = {}
     for idx, layer in enumerate(params.layers, start=1):
-        layer_inputs.append(x_seq)
         h_seq, store = _forward_layer(config.cell_kind, layer, x_seq, t_real)
         gates.append(store)
         hidden.append(h_seq)
@@ -368,14 +370,13 @@ def network_forward(params: NetworkParams, config: NetworkConfig, batch,
             mask = keep.astype(np.float64) / (1.0 - config.dropout_rate)
             dropout_masks[idx] = mask
             x_seq = h_seq * mask
+        inputs.append(x_seq)
 
-    head_input = x_seq
-    pre = np.squeeze(head_input @ params.w_out.T, axis=2) + params.b_out[0]
+    pre = np.squeeze(x_seq @ params.w_out.T, axis=2) + params.b_out[0]
     predictions = _HEADS[config.output_activation][0](pre)
-    cache = ForwardCache(cell_kind=config.cell_kind, layer_inputs=layer_inputs,
+    cache = ForwardCache(cell_kind=config.cell_kind, inputs=inputs,
                          gates=gates, hidden=hidden,
-                         dropout_masks=dropout_masks, head_input=head_input,
-                         predictions=predictions)
+                         dropout_masks=dropout_masks, predictions=predictions)
     return predictions, cache
 
 
@@ -407,7 +408,7 @@ def network_backward(params: NetworkParams, config: NetworkConfig,
 
     dpred = dloss_dpred[:t_real] * mask[:t_real]
     dz = _HEADS[config.output_activation][1](dpred, cache.predictions[:t_real])
-    head_input = cache.head_input[:t_real]
+    head_input = cache.inputs[-1][:t_real]
     grads.w_out[...] = dz.reshape(1, -1) @ head_input.reshape(-1, head_input.shape[2])
     grads.b_out[0] = np.sum(dz)
     dh_above = dz[:, :, None] * params.w_out[0]
@@ -417,7 +418,7 @@ def network_backward(params: NetworkParams, config: NetworkConfig,
         if idx in cache.dropout_masks:
             dh_above = dh_above * cache.dropout_masks[idx][:t_real]
         dh_above = bptt(params.layers[idx - 1], grads.layers[idx - 1],
-                        cache.gates[idx - 1], cache.layer_inputs[idx - 1][:t_real],
+                        cache.gates[idx - 1], cache.inputs[idx - 1][:t_real],
                         cache.hidden[idx - 1][:t_real], dh_above, need_dx=idx > 1)
     return grads
 
@@ -516,8 +517,11 @@ def _bptt_gru(p: LayerParams, grads, store, x_seq, h_seq, dh_seq, need_dx):
 # ---------------------------------------------------------------------------
 # complex-step oracle
 
+COMPLEX_STEP = 1e-30  # the step h of every complex-step derivative
+
+
 def numerical_gradient(params: NetworkParams, loss_fn,
-                       epsilon: float = 1e-30) -> NetworkParams:
+                       epsilon: float = COMPLEX_STEP) -> NetworkParams:
     """Complex-step gradient Im loss_fn(x + i epsilon e_k) / epsilon of
     loss_fn(params) per entry k of a complex128 copy of the arena (Martins,
     Sturdza & Alonso, ACM TOMS 29(3), 2003): nothing is subtracted, so it

@@ -44,9 +44,7 @@ def test_criterion_1_gradient_correctness():
     for cell in ("lstm", "gru"):
         for head in ("sigmoid", "linear", "tanh"):
             err = check_network_gradients(cell, head, seed=7,
-                                          epsilon=GRADCHECK_EPSILON,
-                                          layer_widths=(3, 3), num_steps=4,
-                                          batch_size=2)
+                                          epsilon=GRADCHECK_EPSILON)
             worst[f"{cell}-{head}"] = err
             assert err <= GRADCHECK_TOLERANCE, \
                 f"{cell}-{head} gradient error {err:.3e} exceeds 1e-4"
@@ -121,7 +119,7 @@ def _double_padding(batch):
         return np.concatenate([a, pad], axis=0)
 
     return PaddedBatch(inputs=grow(batch.inputs), targets=grow(batch.targets),
-                       mask=grow(batch.mask), lengths=batch.lengths)
+                       lengths=batch.lengths)
 
 
 def test_criterion_6_padding_invariance():

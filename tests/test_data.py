@@ -180,12 +180,22 @@ class TestPadAndBatch:
         assert loss2 == loss
         assert np.array_equal(grad2[batch.mask == 1.0], grad[batch.mask == 1.0])
 
-    def test_mask_pattern_enforced(self):
-        with pytest.raises(ValueError):
-            PaddedBatch(inputs=np.zeros((3, 1, 9)), targets=np.zeros((3, 1)),
-                        mask=np.array([[1.0], [0.0], [1.0]]),
-                        lengths=np.array([2]))
 
+    def test_mask_is_computed_from_lengths(self):
+        batch = PaddedBatch(inputs=np.zeros((3, 2, 9)), targets=np.zeros((3, 2)),
+                            lengths=np.array([2, 3]))
+        assert np.array_equal(batch.mask, [[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+        assert batch.mask.dtype == np.float64
+        with pytest.raises(TypeError):
+            PaddedBatch(inputs=np.zeros((3, 1, 9)), targets=np.zeros((3, 1)),
+                        mask=np.ones((3, 1)), lengths=np.array([3]))
+
+    @pytest.mark.parametrize("field", ["inputs", "targets"])
+    def test_padded_cells_must_hold_zeros(self, field):
+        arrays = {"inputs": np.zeros((3, 1, 9)), "targets": np.zeros((3, 1))}
+        arrays[field][2] = 1.0
+        with pytest.raises(ValueError, match="padded cells must hold zeros"):
+            PaddedBatch(**arrays, lengths=np.array([2]))
 
     @pytest.mark.parametrize("order_seed", [0, 1, 2, 3])
     def test_select_equals_pad_and_batch_bit_for_bit(self, order_seed):

@@ -296,7 +296,6 @@ class TestNetworkForward:
         extended = PaddedBatch(
             inputs=np.concatenate([batch.inputs, np.zeros((4, 3, 3))]),
             targets=np.concatenate([batch.targets, np.zeros((4, 3))]),
-            mask=np.concatenate([batch.mask, np.zeros((4, 3))]),
             lengths=batch.lengths)
         p1, _ = network_forward(params, config, batch, mode="eval")
         p2, _ = network_forward(params, config, extended, mode="eval")
@@ -314,7 +313,6 @@ class TestNetworkForward:
             padded = PaddedBatch(
                 inputs=np.concatenate([batch.inputs, np.zeros((3, 1, 3))]),
                 targets=np.concatenate([batch.targets, np.zeros((3, 1))]),
-                mask=np.concatenate([batch.mask, np.zeros((3, 1))]),
                 lengths=batch.lengths)
             runs = []
             for b in (batch, padded):
@@ -481,7 +479,7 @@ class TestDropout:
         for _ in range(draws):
             _, cache = network_forward(params, config, batch, mode="train",
                                        rng=rng)
-            total += cache.head_input
+            total += cache.inputs[-1]
         mean = total / draws
         # with rate 0.5 the mask has unit variance, so se = |h| / sqrt(n)
         se = np.abs(reference) / np.sqrt(draws)
@@ -574,10 +572,9 @@ class TestNetworkBackward:
         tampered_hidden = [cache.hidden[0].copy(), cache.hidden[1]]
         tampered_hidden[0][mask == 0.0] += 7.0
         tampered = ForwardCache(cell_kind=cache.cell_kind,
-                                layer_inputs=cache.layer_inputs,
+                                inputs=cache.inputs,
                                 gates=cache.gates, hidden=tampered_hidden,
                                 dropout_masks=cache.dropout_masks,
-                                head_input=cache.head_input,
                                 predictions=cache.predictions)
         grads2 = network_backward(params, config, tampered, dpred, batch.mask)
         assert trees_equal(grads.layers[1], grads2.layers[1])
