@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import HEADS, load_dataset, save_dataset
-from .dtw import _write_alignment, dtw_exact, fastdtw, score_testset
+from .dtw import (DistanceOverflowError, _write_alignment, dtw_exact, fastdtw,
+                  score_testset)
 from .gradcheck import check_network_gradients, full_scale_gradient_errors
 from .network import (COMPLEX_STEP, CellKind, NetworkConfig, load_checkpoint,
                       save_checkpoint)
@@ -181,8 +182,11 @@ def _load_output_dataset(path):
 
 def _finite_predictions(model_path, params, net, norm, seqs) -> list:
     """predict's curves for seqs; raises ValueError naming the checkpoint
-    and the sequence id for a curve that is not finite."""
-    curves = predict(params, net, norm, seqs)
+    and the sequence id for a curve that is not finite. An overflow on
+    the way to such a curve raises no numpy warning, so the error is
+    the one line on stderr."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        curves = predict(params, net, norm, seqs)
     for seq, curve in zip(seqs, curves):
         if not np.isfinite(curve).all():
             raise ValueError(f"{model_path}: predicted curve for {seq.id!r} "
@@ -210,8 +214,12 @@ def _cmd_eval_dtw(args) -> int:
     if not seqs:
         raise ValueError(f"{args.data}: no sequences to score")
     curves = _finite_predictions(args.model, params, net, norm, seqs)
-    score = score_testset(zip(curves, (seq.weights for seq in seqs)),
-                          args.radius)
+    try:
+        score = score_testset(zip(curves, (seq.weights for seq in seqs)),
+                              args.radius)
+    except DistanceOverflowError as exc:
+        raise ValueError(f"{args.model}: DTW distance for "
+                         f"{seqs[exc.pair].id!r} overflows float64") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # fastdtw checked both curves and built each path, so the rows are

@@ -39,6 +39,13 @@ from numpy.lib.stride_tricks import as_strided
 _INF = float("inf")
 
 
+class DistanceOverflowError(RuntimeError):
+    """A DTW distance beyond float64's range. score_testset sets pair to
+    the index of the pair whose distance it is."""
+
+    pair = None
+
+
 @dataclass
 class DTWResult:
     """Alignment distance plus the warp path that realizes it."""
@@ -128,7 +135,7 @@ def _dtw_dp(a, b, los, his) -> DTWResult:
         offs.append(off_a)
     distance = above[n - 1 - off_a]
     if not distance < _INF:  # every window holds a path; nan is inf - inf
-        raise RuntimeError("DTW distance overflows float64")
+        raise DistanceOverflowError("DTW distance overflows float64")
 
     # Comparisons stand in for min(diag, up, left), which takes the first
     # minimum, only when no cell is nan. A finite end cell rules nan out:
@@ -242,7 +249,7 @@ def dtw_exact(a, b) -> DTWResult:
         prev, prev_i0, prev_k = R, i0, k_n
     distance = float(prev[prev_k + 1, m - prev_i0])
     if distance == _INF:
-        raise RuntimeError("DTW distance overflows float64")
+        raise DistanceOverflowError("DTW distance overflows float64")
 
     # On the first row and column only one move is legal, so the choices
     # stored there are never read.
@@ -318,7 +325,13 @@ def score_testset(pairs, radius: int = 1) -> TestsetScore:
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one curve pair to score")
-    results = [fastdtw(pred, actual, radius) for pred, actual in pairs]
+    results = []
+    for k, (pred, actual) in enumerate(pairs):
+        try:
+            results.append(fastdtw(pred, actual, radius))
+        except DistanceOverflowError as exc:
+            exc.pair = k
+            raise
     distances = [r.distance for r in results]
     return TestsetScore(results=results, mean=fmean(distances),
                         median=float(median(distances)),

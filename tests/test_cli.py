@@ -126,15 +126,27 @@ class TestTrain:
         assert outs[0][1] == outs[1][1], "loss files differ"
 
 
-def _run_with_blas_threads(threads: str, argv) -> None:
-    """Run the CLI in a fresh process pinned to `threads` BLAS threads."""
+def _run_with_blas_threads(threads: str, argv, check=True):
+    """Run the CLI in a fresh process pinned to `threads` BLAS threads;
+    returns the finished process, its output as text."""
     src_dir = Path(pournet.__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                OMP_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(src_dir), os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-m", "pournet.cli", *argv], env=env,
-                   check=True, capture_output=True, timeout=300)
+    return subprocess.run([sys.executable, "-m", "pournet.cli", *argv],
+                          env=env, check=check, capture_output=True,
+                          text=True, timeout=300)
+
+
+def _huge_linear_checkpoint(model_file, path, w_out: float):
+    """model_file with a linear head and every w_out entry at w_out."""
+    params, net, norm = load_checkpoint(model_file)
+    params.w_out[...] = w_out
+    save_checkpoint(path, params,
+                    dataclasses.replace(net, output_activation="linear"),
+                    dataclasses.replace(norm, mode="linear"))
+    return path
 
 
 def _tree_bytes(directory: Path) -> dict:
@@ -332,19 +344,40 @@ class TestPredictAndEval:
             self, command, model_file, data_file, tmp_path, capsys):
         """A linear head with every w_out entry at 1e308 overflows on real
         inputs; the error names the checkpoint and the sequence."""
-        params, net, norm = load_checkpoint(model_file)
-        params.w_out[...] = 1e308
-        bad = tmp_path / "huge.npz"
-        save_checkpoint(bad, params,
-                        dataclasses.replace(net, output_activation="linear"),
-                        dataclasses.replace(norm, mode="linear"))
+        bad = _huge_linear_checkpoint(model_file, tmp_path / "huge.npz", 1e308)
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run([command, "--model", str(bad), "--data",
-                        str(data_file), "--out", str(out)])
-        assert code == 1
+        assert run([command, "--model", str(bad), "--data", str(data_file),
+                    "--out", str(out)]) == 1
         assert re.fullmatch(rf"error: {re.escape(str(bad))}: predicted curve "
                             r"for 'synth-\d{5}' is not finite\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval-dtw"])
+    def test_non_finite_prediction_is_one_stderr_line(
+            self, command, model_file, data_file, tmp_path):
+        """The overflow that makes the curve inf prints no numpy warning:
+        in a fresh process, stderr is the error line alone."""
+        bad = _huge_linear_checkpoint(model_file, tmp_path / "huge.npz", 1e308)
+        out = tmp_path / "out"
+        proc = _run_with_blas_threads("1", [
+            command, "--model", str(bad), "--data", str(data_file),
+            "--out", str(out)], check=False)
+        assert proc.returncode == 1
+        assert re.fullmatch(rf"error: {re.escape(str(bad))}: predicted curve "
+                            r"for 'synth-\d{5}' is not finite\n", proc.stderr)
+        assert not out.exists()
+
+    def test_dtw_overflow_names_checkpoint_and_sequence(
+            self, model_file, data_file, tmp_path, capsys):
+        """At w_out 3e306 every predicted curve is finite, but its DTW
+        distance to the measured curve is beyond float64."""
+        bad = _huge_linear_checkpoint(model_file, tmp_path / "huge.npz", 3e306)
+        out = tmp_path / "out"
+        assert run(["eval-dtw", "--model", str(bad), "--data", str(data_file),
+                    "--out", str(out)]) == 1
+        assert re.fullmatch(rf"error: {re.escape(str(bad))}: DTW distance for "
+                            r"'synth-\d{5}' overflows float64\n",
                             capsys.readouterr().err)
         assert not out.exists()
 

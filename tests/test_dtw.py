@@ -9,8 +9,9 @@ import pytest
 import pournet.dtw
 from oracles import (brute_force_window, enumerate_dtw_distance,
                      long_pair_corpus, reference_fastdtw, short_pair_corpus)
-from pournet.dtw import (_expanded_window, dtw_exact, export_alignment,
-                         fastdtw, score_testset, validate_warp_path)
+from pournet.dtw import (DistanceOverflowError, _expanded_window, dtw_exact,
+                         export_alignment, fastdtw, score_testset,
+                         validate_warp_path)
 
 # finite curves whose pointwise differences overflow float64
 OVERFLOW_A = [1e308, -1e308, 0.0]
@@ -272,6 +273,14 @@ class TestScoreTestset:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             score_testset([], radius=1)
+
+    def test_overflow_names_the_pair(self):
+        pairs = [([0.0, 1.0], [1.0, 1.0]), (OVERFLOW_A, OVERFLOW_B),
+                 ([2.0], [3.0])]
+        with pytest.raises(DistanceOverflowError,
+                           match="overflows float64") as caught:
+            score_testset(pairs, radius=1)
+        assert caught.value.pair == 1
 
 
 class TestExportAlignment:

@@ -1,5 +1,5 @@
 """Property tests: DTW metric laws, FastDTW's bound, normalization, splits,
-dataset file round trips."""
+dataset and checkpoint file round trips."""
 
 import tempfile
 from pathlib import Path
@@ -8,11 +8,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pournet.data import (NUM_INPUT_FEATURES, NormalizationSpec,
+from pournet.data import (HEADS, NUM_INPUT_FEATURES, NormalizationSpec,
                           PouringSequence, StaticFeatures, load_dataset,
                           save_dataset, split_dataset)
 from oracles import reference_fastdtw
 from pournet.dtw import dtw_exact, fastdtw
+from pournet.network import (CellKind, NetworkConfig, NetworkParams,
+                             load_checkpoint, param_layout, save_checkpoint)
 
 SETTINGS = settings(deadline=None, max_examples=40)
 
@@ -128,3 +130,57 @@ def test_dataset_file_round_trip(records):
         assert loaded == seqs
         save_dataset(loaded, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+def _floats(n, **bounds):
+    return st.lists(st.floats(allow_nan=False, allow_infinity=False, **bounds),
+                    min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def checkpoints(draw):
+    """(params, config, spec) that save_checkpoint accepts: any cell and
+    head, 1-4 layers of width 1-5, any dropout rate and sites, 1-9
+    inputs, and finite parameters and statistics."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    config = NetworkConfig(
+        cell_kind=draw(st.sampled_from(CellKind)), layer_widths=tuple(widths),
+        dropout_rate=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        dropout_after_layers=tuple(draw(st.sets(st.integers(1, len(widths))))),
+        output_activation=draw(st.sampled_from(HEADS)),
+        input_width=draw(st.integers(1, NUM_INPUT_FEATURES)))
+    params = NetworkParams(param_layout(config))
+    params.vector[...] = draw(_floats(params.vector.size))
+    target_min, target_max = sorted(draw(
+        st.lists(finite, min_size=2, max_size=2, unique=True)))
+    spec = NormalizationSpec(
+        mode=config.output_activation, target_min=target_min,
+        target_max=target_max, input_mean=draw(_floats(NUM_INPUT_FEATURES)),
+        input_std=draw(_floats(NUM_INPUT_FEATURES, min_value=5e-324)))
+    return params, config, spec
+
+
+def _bits(value):
+    """Bytes of a float or array, so -0.0 and 0.0 differ."""
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@SETTINGS
+@given(checkpoints())
+def test_checkpoint_file_round_trip(checkpoint):
+    params, config, spec = checkpoint
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.npz", Path(tmp) / "second.npz"
+        save_checkpoint(first, params, config, spec)
+        loaded_params, loaded_config, loaded_spec = load_checkpoint(first)
+        save_checkpoint(second, loaded_params, loaded_config, loaded_spec)
+        assert second.read_bytes() == first.read_bytes()
+    assert loaded_config == config
+    assert _bits(loaded_config.dropout_rate) == _bits(config.dropout_rate)
+    assert loaded_spec.mode == spec.mode
+    for name in ("target_min", "target_max", "input_mean", "input_std"):
+        assert _bits(getattr(loaded_spec, name)) == _bits(getattr(spec, name))
+        assert np.asarray(getattr(loaded_spec, name)).dtype == np.float64
+    assert loaded_params.layout == params.layout
+    assert loaded_params.vector.dtype == np.float64
+    assert _bits(loaded_params.vector) == _bits(params.vector)
