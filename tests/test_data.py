@@ -180,7 +180,6 @@ class TestPadAndBatch:
         assert loss2 == loss
         assert np.array_equal(grad2[batch.mask == 1.0], grad[batch.mask == 1.0])
 
-
     def test_mask_is_computed_from_lengths(self):
         batch = PaddedBatch(inputs=np.zeros((3, 2, 9)), targets=np.zeros((3, 2)),
                             lengths=np.array([2, 3]))
