@@ -293,7 +293,11 @@ def _read_curve(path: str):
 def _cmd_dtw(args) -> int:
     a = _read_curve(args.a)
     b = _read_curve(args.b)
-    result = dtw_exact(a, b) if args.exact else fastdtw(a, b, args.radius)
+    try:
+        result = dtw_exact(a, b) if args.exact else fastdtw(a, b, args.radius)
+    except DistanceOverflowError as exc:
+        raise ValueError(f"{args.a}, {args.b}: DTW distance overflows "
+                         f"float64") from exc
     print(repr(result.distance))
     return 0
 

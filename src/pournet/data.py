@@ -343,5 +343,5 @@ def _record_to_sequence(record, where: str) -> PouringSequence:
                                weights=weights, statics=statics)
     except DatasetSchemaError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetSchemaError(f"{where}: {exc}") from exc

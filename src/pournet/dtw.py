@@ -15,16 +15,17 @@ Two kernels fill the dynamic program, with the same float operations per
 cell and the same tie-break, so they agree bit for bit on distance and
 path (full-radius FastDTW equals exact DTW):
 
-- ``dtw_exact`` fills anti-diagonals with numpy, a block of them at a
+- ``dtw_exact`` fills anti-diagonals with numpy, a block of 32 at a
   time, each block in a contiguous array of its own, and keeps one byte
-  of backtrace per cell: 0.024 s and 5.5 MB at 2000 x 2000 steps, against
-  0.030 s and 5.3 MB with the blocks as strided views of one ring (2-vCPU
-  Xeon VM, tracemalloc peak). A matrix of Python floats took 1.4 s and
+  of backtrace per cell: 0.022 s and 6.8 MB at 2000 x 2000 steps, against
+  0.024 s and 5.5 MB in blocks of 16 and 0.030 s and 5.3 MB with the
+  blocks as strided views of one ring (2-vCPU Xeon VM, fastest of 40
+  calls, tracemalloc peak). A matrix of Python floats took 1.4 s and
   128 MB.
 - FastDTW's windows are a few cells wide, so ``_dtw_dp`` loops over them
   in Python and stores only each row's window. On the 30-50-step curves
-  that ``eval-dtw`` scores, the block kernel costs about 3.6 us per
-  diagonal and FastDTW's levels add up to 110-190 diagonals: 0.4-0.7 ms
+  that ``eval-dtw`` scores, the block kernel costs about 3.0 us per
+  diagonal and FastDTW's levels add up to 110-190 diagonals: 0.3-0.6 ms
   per pair against 0.2-0.5 ms for the scalar loop (same VM).
 """
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from statistics import fmean, median
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 _INF = float("inf")
 
@@ -164,7 +165,7 @@ def _dtw_dp(a, b, los, his) -> DTWResult:
 
 
 # anti-diagonals that dtw_exact fills per block
-_BLOCK = 16
+_BLOCK = 32
 
 
 # float64 overflow is reported once, from the end cell, not per diagonal
@@ -176,7 +177,8 @@ def dtw_exact(a, b) -> DTWResult:
     a C-contiguous array of its own. A block's costs take two numpy calls
     and its backtrace choices, one byte per cell, three more; each
     diagonal takes three (min, min, add). Memory is about len(a) * len(b)
-    bytes plus ``4 * _BLOCK + 4`` diagonals.
+    bytes plus ``4 * _BLOCK + 4`` diagonals of floats and two choice
+    buffers of ``_BLOCK`` diagonals of bytes.
     """
     a = _as_float_array(a, "a")
     b = _as_float_array(b, "b")
@@ -186,10 +188,12 @@ def dtw_exact(a, b) -> DTWResult:
     # reset to +inf
     a_pad = np.concatenate(([0.0], a))
     # b[j] is rb[n + K - 1 - j], zero for the columns j in [1 - K, -1]
-    # and [n, n + K - 1] that blocks reach off the matrix
-    rb = np.zeros(n + 2 * K - 1)
+    # and [n, n + K - 1] that blocks reach off the matrix. Row s of toep
+    # is rb[s:s + m + 1]; rb is long enough that every row a block
+    # reads lies inside it.
+    rb = np.zeros(n + K + m)
     rb[K:K + n] = b[::-1]
-    step = rb.strides[0]
+    toep = sliding_window_view(rb, m + 1)
     # Block arrays R, in the two flat buffers in turn, are [k_n + 2, L]
     # with L = width + 1: row k + 2 holds diagonal d0 + k, rows 0 and 1
     # the two diagonals before it, and column c cell (i0 + c - 1,
@@ -203,6 +207,8 @@ def dtw_exact(a, b) -> DTWResult:
     # min(diag, up) and min(diag, up, left) of each cell, rows of length L
     # too; filled, so that their unused last column holds no nan
     du_flat, best_flat = np.zeros(K * (m + 1)), np.zeros(K * (m + 1))
+    # the two comparisons that give a block's backtrace choices
+    ne_flat, lt_flat = np.empty((2, K * (m + 1)), np.bool_)
     # a virtual block before the first holds diagonals -1 and 0
     prev, prev_i0, prev_k = np.array([[_INF, _INF],
                                       [_INF, abs(a[0] - b[0])]]), 0, 0
@@ -224,7 +230,7 @@ def dtw_exact(a, b) -> DTWResult:
         R[:2, kept:] = _INF
         # row k, column c of b_view is b[d0 + k - i0 - c + 1]
         s = n + K - 1 - d0 - k_n + i0
-        b_view = as_strided(rb[s:], (k_n, L), (step, step))[::-1]
+        b_view = toep[s:s + k_n, :L][::-1]
         cost = R[2:]
         np.subtract(a_pad[i0:i0 + L], b_view, out=cost)
         np.abs(cost, out=cost)
@@ -232,18 +238,23 @@ def dtw_exact(a, b) -> DTWResult:
         du = du_flat[:k_n * L].reshape(k_n, L)
         best = best_flat[:k_n * L].reshape(k_n, L)
         at_i, after_i = list(R[:, :-1]), list(R[:, 1:])
+        # fmin equals minimum here, as no operand is nan: the inputs are
+        # finite and every cell is +inf or a sum of non-negative costs.
+        # Unlike minimum, fmin takes out positionally, which is cheaper.
         for k, (du_k, best_k) in enumerate(zip(du[:, :-1], best[:, :-1])):
-            np.minimum(at_i[k], at_i[k + 1], out=du_k)
-            np.minimum(du_k, after_i[k + 1], out=best_k)
-            np.add(after_i[k + 2], best_k, out=after_i[k + 2])
+            np.fmin(at_i[k], at_i[k + 1], du_k)
+            np.fmin(du_k, after_i[k + 1], best_k)
+            np.add(after_i[k + 2], best_k, after_i[k + 2])
         # 0 diag, 1 up, 2 left: 0 when diag is a minimum, else 1 plus 1
         # more when left is below both diag and up, so the first minimum
         # in the order diag, up, left. Entry k * L + c of each operand
         # belongs to the cell in column c + 1 of row k + 2.
         span = k_n * L - 1
-        choice = np.add(
-            (flat[:span] != best_flat[:span]).view(np.uint8),
-            (flat[L + 1:L + 1 + span] < du_flat[:span]).view(np.uint8))
+        ne, lt = ne_flat[:span], lt_flat[:span]
+        np.not_equal(flat[:span], best_flat[:span], out=ne)
+        np.less(flat[L + 1:L + 1 + span], du_flat[:span], out=lt)
+        choice = ne.view(np.uint8)
+        np.add(choice, lt.view(np.uint8), out=choice)
         chunks.extend([choice.tobytes()] * k_n)
         base.extend(range(-i0, k_n * L - i0, L))
         prev, prev_i0, prev_k = R, i0, k_n

@@ -309,7 +309,12 @@ class TestPredictAndEval:
         "bool static": ({"rho": True}, "line 4: rho must be a number"),
         "bool theta": ({"theta": True}, "line 4: step 'theta' and 'f'"),
         "string static": ({"rho": "1.0"}, "line 4: rho must be a number"),
-        "string theta": ({"theta": "1.5"}, "line 4: step 'theta' and 'f'")}
+        "string theta": ({"theta": "1.5"}, "line 4: step 'theta' and 'f'"),
+        # json.dumps writes these as integers, which no float64 holds
+        "huge int static": ({"rho": 10 ** 400},
+                            "line 4: int too large to convert to float"),
+        "huge int theta": ({"theta": 10 ** 400},
+                           "line 4: int too large to convert to float")}
 
     @pytest.mark.parametrize("command", ["predict", "eval-dtw"])
     @pytest.mark.parametrize("case", list(BAD_RECORDS))
@@ -336,6 +341,7 @@ class TestPredictAndEval:
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data}: ") and message in err
+        assert err.count("\n") == 1
         assert predicted == []
         assert not out.exists()
 
@@ -447,6 +453,17 @@ class TestDTWCommand:
         b.write_text("-1e308\n1e308\n0\n")
         assert run(["dtw", "--a", str(a), "--b", str(b), "--exact"]) == 1
         assert "DTW distance overflows float64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [["--exact"], ["--radius", "1"]],
+                             ids=["exact", "radius"])
+    def test_overflow_names_both_files(self, tmp_path, capsys, mode):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("1e308\n-1e308\n0\n")
+        b.write_text("-1e308\n1e308\n0\n")
+        assert run(["dtw", "--a", str(a), "--b", str(b), *mode]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {a}, {b}: DTW distance overflows float64\n")
 
     @pytest.mark.parametrize("text, where", [
         ("", ": no numbers"), ("0.5\nnan\n", " line 2:"),

@@ -301,23 +301,39 @@ class TestDatasetFiles:
         assert str(info.value).startswith(f"{path}: line 1:")
 
 
-    @pytest.mark.parametrize("field", ["f_init", "f_empty", "f_final", "d_cup",
-                                       "h_cup", "d_cta", "h_cta", "rho",
-                                       "theta", "f"])
-    def test_number_written_as_string_refused(self, tmp_path, field):
+    NUMERIC_FIELDS = ["f_init", "f_empty", "f_final", "d_cup", "h_cup",
+                      "d_cta", "h_cta", "rho", "theta", "f"]
+
+    @staticmethod
+    def _load_with_field(tmp_path, field, edit):
+        """Load tiny_dataset(2) with field of its second record, or of
+        that record's last step, replaced by edit(old value); returns the
+        path and the DatasetSchemaError that the load must raise."""
         path = tmp_path / "data.jsonl"
         save_dataset(tiny_dataset(2), path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[1])
         target = record["steps"][-1] if field in ("theta", "f") else record
-        target[field] = str(target[field])
+        target[field] = edit(target[field])
         lines[1] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetSchemaError) as info:
             load_dataset(path)
-        message = str(info.value)
+        return path, str(info.value)
+
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_number_written_as_string_refused(self, tmp_path, field):
+        path, message = self._load_with_field(tmp_path, field, str)
         assert message.startswith(f"{path}: line 2:")
         assert f"'{field}'" in message or f"{field} must be a number" in message
+
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_huge_integer_names_file_and_line(self, tmp_path, field):
+        """json.dumps writes 10 ** 400 as an integer, and float() refuses
+        the int that json.loads reads back with OverflowError."""
+        path, message = self._load_with_field(tmp_path, field,
+                                              lambda _: 10 ** 400)
+        assert message == f"{path}: line 2: int too large to convert to float"
 
 
 class TestDomainTypes:

@@ -79,7 +79,7 @@ class TestDTWExact:
 
     def test_memory_bounded_on_long_input(self):
         """The backtrace takes one byte per cell (4 MB here) and the whole
-        call peaks at about 5.5 MB; a matrix of Python floats took 128 MB."""
+        call peaks at about 6.8 MB; a matrix of Python floats took 128 MB."""
         rng = np.random.default_rng(13)
         a = np.cumsum(rng.standard_normal(2000))
         b = np.cumsum(rng.standard_normal(2000))
@@ -157,7 +157,7 @@ class TestFastDTW:
                     rng.integers(-2, 3, m).astype(float),
                     rng.integers(-2, 3, n).astype(float))
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 16])
+    @pytest.mark.parametrize("block", sorted({1, 2, 3, 16, pournet.dtw._BLOCK}))
     def test_exact_equals_reference_on_one_column(self, block, monkeypatch):
         """With n = 1 the first block starts below row 0, so its carried
         diagonals come from the virtual start block at a column shift."""
@@ -170,6 +170,17 @@ class TestFastDTW:
                 exact = dtw_exact(a, b)
                 assert ((exact.distance, exact.path)
                         == reference_fastdtw(a, b, max(len(a), len(b))))
+
+    @pytest.mark.parametrize("m, n", [(1500, 40), (40, 1500),
+                                      (2 * pournet.dtw._BLOCK + 1, 700)])
+    def test_exact_equals_reference_on_thin_pairs(self, m, n):
+        """A thin matrix puts many blocks on narrow rows, and most of each
+        block's cells, and of the cost view's rows, off the matrix."""
+        rng = np.random.default_rng(m + n)
+        a = np.cumsum(rng.standard_normal(m))
+        b = np.cumsum(rng.standard_normal(n))
+        exact = dtw_exact(a, b)
+        assert (exact.distance, exact.path) == reference_fastdtw(a, b, max(m, n))
 
     def test_equals_frozen_reference(self):
         """Gaussian, random-walk and tie-heavy integer curves of 1-300
