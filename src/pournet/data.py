@@ -320,13 +320,17 @@ def _record_to_sequence(record, where: str) -> PouringSequence:
     if not isinstance(record["id"], str):
         raise DatasetSchemaError(
             f"{where}: id must be a string, got {record['id']!r}")
+    values = {}
     for name in _STATIC_FIELDS:
         if type(record[name]) not in _JSON_NUMBERS:
             raise DatasetSchemaError(
                 f"{where}: {name} must be a number, got {record[name]!r}")
+        try:
+            values[name] = float(record[name])
+        except OverflowError as exc:  # an int beyond float64
+            raise DatasetSchemaError(f"{where}: {name}: {exc}") from exc
     try:
-        statics = StaticFeatures(**{name: float(record[name])
-                                    for name in _STATIC_FIELDS})
+        statics = StaticFeatures(**values)
         thetas, weights = [], []
         for step in record["steps"]:
             if "theta" not in step or "f" not in step:
@@ -337,11 +341,17 @@ def _record_to_sequence(record, where: str) -> PouringSequence:
                 raise DatasetSchemaError(
                     f"{where}: step 'theta' and 'f' must be numbers, "
                     f"got {theta!r} and {f!r}")
-            thetas.append(float(theta))
-            weights.append(float(f))
+            try:
+                thetas.append(float(theta))
+                weights.append(float(f))
+            except OverflowError as exc:
+                # thetas is one longer than weights when f overflowed
+                name = "f" if len(thetas) > len(weights) else "theta"
+                raise DatasetSchemaError(
+                    f"{where}: steps[{len(weights)}].{name}: {exc}") from exc
         return PouringSequence(id=record["id"], thetas=thetas,
                                weights=weights, statics=statics)
     except DatasetSchemaError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DatasetSchemaError(f"{where}: {exc}") from exc

@@ -16,12 +16,12 @@ cell and the same tie-break, so they agree bit for bit on distance and
 path (full-radius FastDTW equals exact DTW):
 
 - ``dtw_exact`` fills anti-diagonals with numpy, a block of 32 at a
-  time, each block in a contiguous array of its own, and keeps one byte
-  of backtrace per cell: 0.022 s and 6.8 MB at 2000 x 2000 steps, against
-  0.024 s and 5.5 MB in blocks of 16 and 0.030 s and 5.3 MB with the
-  blocks as strided views of one ring (2-vCPU Xeon VM, fastest of 40
-  calls, tracemalloc peak). A matrix of Python floats took 1.4 s and
-  128 MB.
+  time, each block in one reused contiguous array, and keeps two bits
+  of backtrace per cell in two bit-planes. At 2000 x 2000 steps it
+  takes 0.020 s and 2.8 MB, against 0.023 s and 6.9 MB with one byte
+  per cell; at 8000 x 8000, 23 MB against 75 MB (2-vCPU Xeon VM,
+  fastest of 40 calls, tracemalloc peak). A matrix of Python floats
+  took 1.4 s and 128 MB.
 - FastDTW's windows are a few cells wide, so ``_dtw_dp`` loops over them
   in Python and stores only each row's window. On the 30-50-step curves
   that ``eval-dtw`` scores, the block kernel costs about 3.0 us per
@@ -174,11 +174,11 @@ def dtw_exact(a, b) -> DTWResult:
     """Full dynamic program; optimal distance over all warp paths.
 
     The fill runs over anti-diagonals, ``_BLOCK`` at a time, each block in
-    a C-contiguous array of its own. A block's costs take two numpy calls
-    and its backtrace choices, one byte per cell, three more; each
-    diagonal takes three (min, min, add). Memory is about len(a) * len(b)
-    bytes plus ``4 * _BLOCK + 4`` diagonals of floats and two choice
-    buffers of ``_BLOCK`` diagonals of bytes.
+    one reused C-contiguous array. A block's costs take two numpy calls
+    and its backtrace choices, two bits per cell, four more; each
+    diagonal takes three (min, min, add). Memory is about
+    len(a) * len(b) / 4 bytes plus ``2 * _BLOCK + 5`` diagonals of floats
+    and two choice buffers of ``_BLOCK`` diagonals of bytes.
     """
     a = _as_float_array(a, "a")
     b = _as_float_array(b, "b")
@@ -194,7 +194,7 @@ def dtw_exact(a, b) -> DTWResult:
     rb = np.zeros(n + K + m)
     rb[K:K + n] = b[::-1]
     toep = sliding_window_view(rb, m + 1)
-    # Block arrays R, in the two flat buffers in turn, are [k_n + 2, L]
+    # Block arrays R, in the one flat buffer, are [k_n + 2, L]
     # with L = width + 1: row k + 2 holds diagonal d0 + k, rows 0 and 1
     # the two diagonals before it, and column c cell (i0 + c - 1,
     # d - i0 - c + 1). Every diagonal of a block is computed over the
@@ -203,30 +203,33 @@ def dtw_exact(a, b) -> DTWResult:
     # holds only cells with j >= n, which no cell of the matrix reads.
     # Cells with j < 0 stay +inf: they read only such cells, row -1, and
     # rows past the previous block's i1, which the carry sets to +inf.
-    flats = np.empty((K + 2) * (m + 1)), np.empty((K + 2) * (m + 1))
-    # min(diag, up) and min(diag, up, left) of each cell, rows of length L
-    # too; filled, so that their unused last column holds no nan
-    du_flat, best_flat = np.zeros(K * (m + 1)), np.zeros(K * (m + 1))
-    # the two comparisons that give a block's backtrace choices
-    ne_flat, lt_flat = np.empty((2, K * (m + 1)), np.bool_)
-    # a virtual block before the first holds diagonals -1 and 0
-    prev, prev_i0, prev_k = np.array([[_INF, _INF],
-                                      [_INF, abs(a[0] - b[0])]]), 0, 0
+    flat = np.empty((K + 2) * (m + 1))
+    # min(diag, up) of each cell, rows of length L too; filled, so that
+    # its unused last column holds no nan
+    du_flat = np.zeros(K * (m + 1))
+    # min(diag, up, left) of one diagonal
+    best = np.empty(m + 1)
+    # the two bit-planes of a block's backtrace choices
+    ne_lt = np.empty((2, K * (m + 1)), np.bool_)
+    # the last two diagonals of the block before, in its columns; a
+    # virtual block before the first holds diagonals -1 and 0
+    carry = np.full((2, m + 1), _INF)
+    carry[1, 1], prev_i0, prev_L = abs(a[0] - b[0]), 0, 2
 
-    # the choices of diagonal d, one byte per cell from row i0 of its
-    # block, are chunks[d]; cell (i, d - i) is at offset base[d] + i
-    chunks, base = [b""], [0]
-    for blk, d0 in enumerate(range(1, m + n - 1, K)):
+    # the choices of diagonal d, one bit per cell from row i0 of its
+    # block in each plane, are planes[d]; cell (i, d - i) is at bit
+    # offset base[d] + i
+    planes, base = [(b"", b"")], [0]
+    for d0 in range(1, m + n - 1, K):
         k_n = min(K, m + n - 1 - d0)
         i0, i1 = max(0, d0 - n + 1), min(m - 1, d0 + k_n - 1)
         L = i1 - i0 + 2
-        flat = flats[blk % 2]
         R = flat[:(k_n + 2) * L].reshape(k_n + 2, L)
         # carry the previous block's last two diagonals, shifted to this
         # block's rows
         shift = i0 - prev_i0
-        kept = min(L, prev.shape[1] - shift)
-        R[:2, :kept] = prev[prev_k:prev_k + 2, shift:shift + kept]
+        kept = min(L, prev_L - shift)
+        R[:2, :kept] = carry[:, shift:shift + kept]
         R[:2, kept:] = _INF
         # row k, column c of b_view is b[d0 + k - i0 - c + 1]
         s = n + K - 1 - d0 - k_n + i0
@@ -236,29 +239,29 @@ def dtw_exact(a, b) -> DTWResult:
         np.abs(cost, out=cost)
         cost[:, 0] = _INF
         du = du_flat[:k_n * L].reshape(k_n, L)
-        best = best_flat[:k_n * L].reshape(k_n, L)
+        best_k = best[:L - 1]
         at_i, after_i = list(R[:, :-1]), list(R[:, 1:])
         # fmin equals minimum here, as no operand is nan: the inputs are
         # finite and every cell is +inf or a sum of non-negative costs.
         # Unlike minimum, fmin takes out positionally, which is cheaper.
-        for k, (du_k, best_k) in enumerate(zip(du[:, :-1], best[:, :-1])):
+        for k, du_k in enumerate(du[:, :-1]):
             np.fmin(at_i[k], at_i[k + 1], du_k)
             np.fmin(du_k, after_i[k + 1], best_k)
             np.add(after_i[k + 2], best_k, after_i[k + 2])
-        # 0 diag, 1 up, 2 left: 0 when diag is a minimum, else 1 plus 1
-        # more when left is below both diag and up, so the first minimum
-        # in the order diag, up, left. Entry k * L + c of each operand
+        # The first minimum in the order diag, up, left: diag unless ne,
+        # else left if lt, else up. ne is diag != min(diag, up, left),
+        # which is diag != du or lt. Entry k * L + c of each operand
         # belongs to the cell in column c + 1 of row k + 2.
         span = k_n * L - 1
-        ne, lt = ne_flat[:span], lt_flat[:span]
-        np.not_equal(flat[:span], best_flat[:span], out=ne)
+        ne, lt = ne_lt[:, :span]
+        np.not_equal(flat[:span], du_flat[:span], out=ne)
         np.less(flat[L + 1:L + 1 + span], du_flat[:span], out=lt)
-        choice = ne.view(np.uint8)
-        np.add(choice, lt.view(np.uint8), out=choice)
-        chunks.extend([choice.tobytes()] * k_n)
+        np.logical_or(ne, lt, out=ne)
+        bits = np.packbits(ne_lt[:, :span], axis=1, bitorder="little")
+        planes.extend([(bits[0].tobytes(), bits[1].tobytes())] * k_n)
         base.extend(range(-i0, k_n * L - i0, L))
-        prev, prev_i0, prev_k = R, i0, k_n
-    distance = float(prev[prev_k + 1, m - prev_i0])
+        carry[:, :L], prev_i0, prev_L = R[k_n:], i0, L
+    distance = float(carry[1, m - prev_i0])
     if distance == _INF:
         raise DistanceOverflowError("DTW distance overflows float64")
 
@@ -268,13 +271,15 @@ def dtw_exact(a, b) -> DTWResult:
     i, j = m - 1, n - 1
     while i > 0 and j > 0:
         d = i + j
-        move = chunks[d][base[d] + i]
-        if move == 0:
+        o = base[d] + i
+        ne_d, lt_d = planes[d]
+        bit = 1 << (o & 7)
+        if not ne_d[o >> 3] & bit:
             i, j = i - 1, j - 1
-        elif move == 1:
-            i -= 1
-        else:
+        elif lt_d[o >> 3] & bit:
             j -= 1
+        else:
+            i -= 1
         path.append((i, j))
     path.extend((i, jj) for jj in range(j - 1, -1, -1))
     path.extend((ii, j) for ii in range(i - 1, -1, -1))

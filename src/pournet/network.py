@@ -555,8 +555,8 @@ def save_checkpoint(path, params: NetworkParams, config: NetworkConfig,
     is stored fused, as layers[i].w, layers[i].u and layers[i].b. The
     file is built in memory and read back as load_checkpoint reads it, so
     anything the loader would refuse (a non-finite weight, norm's mode
-    other than the config's output activation) raises ValueError naming
-    path before the file is created.
+    other than the config's output activation, an input width other than
+    norm's) raises ValueError naming path before the file is created.
     """
     meta = {f.name: getattr(config, f.name) for f in fields(NetworkConfig)}
     meta.update(format=_CHECKPOINT_FORMAT, cell_kind=config.cell_kind.value,
@@ -638,7 +638,12 @@ def _read_checkpoint(zf: zipfile.ZipFile):
         target_max=need("norm_target_max"),
         input_mean=need_array("norm_input_mean", (NUM_INPUT_FEATURES,)),
         input_std=need_array("norm_input_std", (NUM_INPUT_FEATURES,)))
-    params = NetworkParams(param_layout(config))
-    for name, view in params.leaves:
-        view[...] = need_array(name, view.shape)
-    return params, config, norm
+    if config.input_width != len(norm.input_mean):
+        raise ValueError(f"checkpoint input_width {config.input_width} does "
+                         f"not match the {len(norm.input_mean)} features of "
+                         f"norm_input_mean")
+    # every leaf's shape is checked before the vector is allocated, so
+    # widths in meta.json alone cannot ask for a huge vector
+    layout = param_layout(config)
+    leaves = [need_array(name, shape).ravel() for name, shape in layout]
+    return NetworkParams(layout, np.concatenate(leaves)), config, norm

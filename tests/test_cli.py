@@ -312,9 +312,10 @@ class TestPredictAndEval:
         "string theta": ({"theta": "1.5"}, "line 4: step 'theta' and 'f'"),
         # json.dumps writes these as integers, which no float64 holds
         "huge int static": ({"rho": 10 ** 400},
-                            "line 4: int too large to convert to float"),
+                            "line 4: rho: int too large to convert to float"),
         "huge int theta": ({"theta": 10 ** 400},
-                           "line 4: int too large to convert to float")}
+                           "line 4: steps[2].theta: int too large to convert "
+                           "to float")}
 
     @pytest.mark.parametrize("command", ["predict", "eval-dtw"])
     @pytest.mark.parametrize("case", list(BAD_RECORDS))

@@ -330,10 +330,14 @@ class TestDatasetFiles:
     @pytest.mark.parametrize("field", NUMERIC_FIELDS)
     def test_huge_integer_names_file_and_line(self, tmp_path, field):
         """json.dumps writes 10 ** 400 as an integer, and float() refuses
-        the int that json.loads reads back with OverflowError."""
+        the int that json.loads reads back with OverflowError. The message
+        names the field, a step's by its index in steps."""
         path, message = self._load_with_field(tmp_path, field,
                                               lambda _: 10 ** 400)
-        assert message == f"{path}: line 2: int too large to convert to float"
+        if field in ("theta", "f"):
+            field = f"steps[{len(tiny_dataset(2)[1]) - 1}].{field}"
+        assert message == (f"{path}: line 2: {field}: "
+                           f"int too large to convert to float")
 
 
 class TestDomainTypes:

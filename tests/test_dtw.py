@@ -9,8 +9,8 @@ import pytest
 import pournet.dtw
 from oracles import (brute_force_window, enumerate_dtw_distance,
                      long_pair_corpus, reference_fastdtw, short_pair_corpus)
-from pournet.dtw import (DistanceOverflowError, _expanded_window, dtw_exact,
-                         export_alignment, fastdtw, score_testset,
+from pournet.dtw import (DistanceOverflowError, _dtw_dp, _expanded_window,
+                         dtw_exact, export_alignment, fastdtw, score_testset,
                          validate_warp_path)
 
 # finite curves whose pointwise differences overflow float64
@@ -78,18 +78,48 @@ class TestDTWExact:
                 dtw_exact(OVERFLOW_A, OVERFLOW_B)
 
     def test_memory_bounded_on_long_input(self):
-        """The backtrace takes one byte per cell (4 MB here) and the whole
-        call peaks at about 6.8 MB; a matrix of Python floats took 128 MB."""
-        rng = np.random.default_rng(13)
-        a = np.cumsum(rng.standard_normal(2000))
-        b = np.cumsum(rng.standard_normal(2000))
-        tracemalloc.start()
-        try:
-            dtw_exact(a, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        """The backtrace takes two bits per cell (1 MB here) and the whole
+        call peaks at about 2.8 MB; a matrix of Python floats took 128 MB."""
+        peak = traced_peak_of_exact(2000)
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("size, bound", [(2000, 4_000_000), (4000, 10_000_000)])
+    def test_backtrace_takes_two_bits_per_cell(self, size, bound):
+        """The call peaks at about 2.8 MB at 2000 x 2000 and 7.6 MB at
+        4000 x 4000; one byte of backtrace per cell took 6.9 and 21.7 MB."""
+        peak = traced_peak_of_exact(size)
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB"
+
+    def test_tie_heavy_pairs_across_byte_and_block_edges(self):
+        """Integer curves make ties between diag, up and left common, and
+        lengths 1-80 put the cells of a diagonal's bit-planes across byte
+        boundaries and block ends on every edge. Distance and path equal
+        the full-window scalar kernel's, and the distance equals
+        enumeration where that is small enough to run."""
+        rng = np.random.default_rng(20)
+        lengths = [(m, int(n)) for m in range(1, 81)
+                   for n in rng.integers(1, 81, 3)]
+        for m, n in lengths + [(n, m) for m, n in lengths]:
+            a = rng.integers(-2, 3, m).astype(float)
+            b = rng.integers(-2, 3, n).astype(float)
+            exact = dtw_exact(a, b)
+            full = _dtw_dp(a.tolist(), b.tolist(), [0] * m, [n - 1] * m)
+            assert (exact.distance, exact.path) == (full.distance, full.path)
+            if m + n <= 12:
+                assert exact.distance == enumerate_dtw_distance(a, b)
+
+
+def traced_peak_of_exact(size):
+    """tracemalloc peak of dtw_exact on two random walks of size steps."""
+    rng = np.random.default_rng(13)
+    a = np.cumsum(rng.standard_normal(size))
+    b = np.cumsum(rng.standard_normal(size))
+    tracemalloc.start()
+    try:
+        dtw_exact(a, b)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_full_radius_equals_exact(a, b):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -156,9 +157,9 @@ class TestParamArena:
             self, cell, tmp_path):
         config = NetworkConfig(cell_kind=cell, layer_widths=(4, 3),
                                dropout_rate=0.0, dropout_after_layers=(),
-                               output_activation="tanh", input_width=5)
+                               output_activation="tanh", input_width=9)
         params = init_params(config, 31)
-        batch = random_batch(np.random.default_rng(31), 5, 3, 5)
+        batch = random_batch(np.random.default_rng(31), 5, 3, 9)
         preds, cache = network_forward(params, config, batch)
         _, dpred = mse_loss(preds, batch.targets, batch.mask)
         grads = network_backward(params, config, cache, dpred, batch.mask)
@@ -772,6 +773,41 @@ class TestCheckpoint:
                     data = json.dumps(meta).encode("utf-8")
                 dst.writestr(name, data)
 
+    def test_input_width_other_than_norm_refused(self, tmp_path):
+        """A stack of 3 inputs with 9-wide statistics would load and then
+        fail on every batch, naming neither file."""
+        config = NetworkConfig(cell_kind="gru", layer_widths=(4,),
+                               dropout_rate=0.0, dropout_after_layers=(),
+                               output_activation="tanh", input_width=3)
+        path = tmp_path / "model.npz"
+        with pytest.raises(ValueError) as err:
+            save_checkpoint(path, init_params(config, 28), config,
+                            self.make_norm())
+        assert str(err.value) == (
+            f"{path}: checkpoint input_width 3 does not match the 9 "
+            f"features of norm_input_mean")
+        assert not path.exists()
+        self.rewrite_meta(path, lambda meta: meta.update(input_width=3))
+        with pytest.raises(ValueError, match="input_width 3 does not match"):
+            load_checkpoint(path)
+
+    def test_huge_meta_widths_refused_before_allocating(self, tmp_path):
+        """The arrays are a (4,) GRU stack's, and meta.json's width of a
+        million would need a parameter vector of about 24 TB. Every leaf's
+        stored shape is checked before that vector is allocated."""
+        path = tmp_path / "model.npz"
+        self.rewrite_meta(path, lambda meta: meta.update(
+            layer_widths=[1_000_000]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value).startswith(f"{path}: checkpoint array layers[0].w")
+        assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_meta_key_cannot_shadow_stored_array(self, tmp_path):
         """Settings come only from meta.json and arrays only from their
         .npy entries, so a meta.json that also holds "b_out" loads the
@@ -879,7 +915,7 @@ class TestCheckpoint:
     def test_readable_by_numpy(self, tmp_path):
         config = NetworkConfig(cell_kind="gru", layer_widths=(4,),
                                dropout_rate=0.0, dropout_after_layers=(),
-                               output_activation="tanh", input_width=3)
+                               output_activation="tanh", input_width=9)
         params = init_params(config, 23)
         path = tmp_path / "model.npz"
         save_checkpoint(path, params, config, self.make_norm())
