@@ -273,7 +273,7 @@ def _read_curve(path: str):
     """One finite number per non-blank line, at least one; raises
     ValueError naming the file (and the line) otherwise."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

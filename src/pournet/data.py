@@ -23,7 +23,7 @@ HEADS = ("sigmoid", "linear", "tanh")
 
 
 class DatasetParseError(ValueError):
-    """A dataset line is not a valid record."""
+    """A dataset line is not UTF-8 JSON, or nests too deep to parse."""
 
 
 class DatasetSchemaError(ValueError):
@@ -289,69 +289,57 @@ def save_dataset(seqs, path) -> None:
 def load_dataset(path):
     """Read a line-delimited dataset written by save_dataset.
 
-    Raises DatasetParseError for unparseable lines and DatasetSchemaError
-    for records that are missing fields or violate sequence invariants;
-    both name the file and the offending 1-based line.
+    Raises DatasetParseError for lines that are not UTF-8 JSON and
+    DatasetSchemaError for records that are missing fields or violate
+    sequence invariants; both name the file and the offending 1-based line.
     """
     sequences = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetParseError(f"{where}: {exc}") from exc
-            sequences.append(_record_to_sequence(record, where))
+                text = line.decode("utf-8")
+                if text.strip():
+                    sequences.append(_record_to_sequence(json.loads(text)))
+            except (UnicodeDecodeError, json.JSONDecodeError,
+                    RecursionError) as exc:
+                raise DatasetParseError(f"{path}: line {lineno}: {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise DatasetSchemaError(f"{path}: line {lineno}: {exc}") from exc
     return sequences
 
 
-# the types json.loads gives a number; bool, str and None are refused
-_JSON_NUMBERS = (int, float)
+def _number(value, name: str) -> float:
+    """value as a float if json.loads read it as a number; bool, str and
+    None are refused, and so is an int beyond float64."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
-def _record_to_sequence(record, where: str) -> PouringSequence:
+def _record_to_sequence(record) -> PouringSequence:
     if not isinstance(record, dict):
-        raise DatasetSchemaError(f"{where}: record must be an object")
+        raise ValueError("record must be an object")
     for name in ("id", *_STATIC_FIELDS, "steps"):
         if name not in record:
-            raise DatasetSchemaError(f"{where}: missing field {name!r}")
+            raise ValueError(f"missing field {name!r}")
     if not isinstance(record["id"], str):
-        raise DatasetSchemaError(
-            f"{where}: id must be a string, got {record['id']!r}")
-    values = {}
-    for name in _STATIC_FIELDS:
-        if type(record[name]) not in _JSON_NUMBERS:
-            raise DatasetSchemaError(
-                f"{where}: {name} must be a number, got {record[name]!r}")
-        try:
-            values[name] = float(record[name])
-        except OverflowError as exc:  # an int beyond float64
-            raise DatasetSchemaError(f"{where}: {name}: {exc}") from exc
-    try:
-        statics = StaticFeatures(**values)
-        thetas, weights = [], []
-        for step in record["steps"]:
-            if "theta" not in step or "f" not in step:
-                raise DatasetSchemaError(
-                    f"{where}: step needs 'theta' and 'f' fields")
-            theta, f = step["theta"], step["f"]
-            if type(theta) not in _JSON_NUMBERS or type(f) not in _JSON_NUMBERS:
-                raise DatasetSchemaError(
-                    f"{where}: step 'theta' and 'f' must be numbers, "
-                    f"got {theta!r} and {f!r}")
-            try:
-                thetas.append(float(theta))
-                weights.append(float(f))
-            except OverflowError as exc:
-                # thetas is one longer than weights when f overflowed
-                name = "f" if len(thetas) > len(weights) else "theta"
-                raise DatasetSchemaError(
-                    f"{where}: steps[{len(weights)}].{name}: {exc}") from exc
-        return PouringSequence(id=record["id"], thetas=thetas,
-                               weights=weights, statics=statics)
-    except DatasetSchemaError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DatasetSchemaError(f"{where}: {exc}") from exc
+        raise ValueError(f"id must be a string, got {record['id']!r}")
+    statics = StaticFeatures(**{name: _number(record[name], name)
+                                for name in _STATIC_FIELDS})
+    steps = record["steps"]
+    for step in steps:
+        if "theta" not in step or "f" not in step:
+            raise ValueError("step needs 'theta' and 'f' fields")
+    thetas = [step["theta"] for step in steps]
+    weights = [step["f"] for step in steps]
+    # save_dataset writes floats; other values go one by one, to name a bad one
+    if {*map(type, thetas), *map(type, weights)} != {float}:
+        thetas = [_number(step["theta"], f"steps[{k}].theta")
+                  for k, step in enumerate(steps)]
+        weights = [_number(step["f"], f"steps[{k}].f")
+                   for k, step in enumerate(steps)]
+    return PouringSequence(id=record["id"], thetas=thetas, weights=weights,
+                           statics=statics)

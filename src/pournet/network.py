@@ -55,6 +55,7 @@ import json
 import math
 import numbers
 import zipfile
+import zlib
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -591,17 +592,19 @@ def load_checkpoint(path):
 
 def _open_checkpoint(path, source):
     """_read_checkpoint of the zip in source, the file at path or its
-    bytes; raises ValueError naming path."""
+    bytes; raises ValueError naming path for what a damaged file raises."""
     try:
         with zipfile.ZipFile(source, "r") as zf:
             return _read_checkpoint(zf)
-    except (zipfile.BadZipFile, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except (zipfile.BadZipFile, zlib.error, EOFError, OSError, RuntimeError,
+            OverflowError, LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {str(exc) or type(exc).__name__}") from exc
 
 
 def _read_checkpoint(zf: zipfile.ZipFile):
     """Settings come only from meta.json and arrays only from the .npy
-    entries, so neither can stand in for the other."""
+    entries, so neither can stand in for the other. Only the entries the
+    settings name are read, each header before its data."""
     if _CHECKPOINT_META not in zf.namelist():
         raise ValueError(f"checkpoint has no {_CHECKPOINT_META}")
     meta = json.loads(zf.read(_CHECKPOINT_META).decode("utf-8"))
@@ -609,19 +612,27 @@ def _read_checkpoint(zf: zipfile.ZipFile):
     if found != _CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format {found!r} is not "
                          f"{_CHECKPOINT_FORMAT!r}")
-    arrays = {name[:-4]: _npy_format.read_array(io.BytesIO(zf.read(name)))
-              for name in zf.namelist() if name.endswith(".npy")}
 
-    def need(key, entries=meta):
-        if key not in entries:
+    def need(key):
+        if key not in meta:
             raise ValueError(f"checkpoint is missing {key!r}")
-        return entries[key]
+        return meta[key]
 
     def need_array(name, shape):
-        arr = np.asarray(need(name, arrays))
-        if arr.dtype != np.float64 or arr.shape != shape:
-            raise ValueError(f"checkpoint array {name} is {arr.dtype} "
-                             f"{arr.shape}, not float64 {shape}")
+        if name + ".npy" not in zf.namelist():
+            raise ValueError(f"checkpoint is missing {name!r}")
+        with zf.open(name + ".npy") as fh:
+            version = _npy_format.read_magic(fh)
+            if version not in ((1, 0), (2, 0)):
+                raise ValueError(f"checkpoint array {name} is .npy {version}")
+            stored, fortran, dtype = (_npy_format.read_array_header_1_0(fh)
+                                      if version == (1, 0) else
+                                      _npy_format.read_array_header_2_0(fh))
+            if dtype != np.float64 or stored != shape:
+                raise ValueError(f"checkpoint array {name} is {dtype} "
+                                 f"{stored}, not float64 {shape}")
+            data = fh.read(8 * math.prod(shape))  # a short entry fails below
+        arr = np.frombuffer(data).reshape(shape, order="F" if fortran else "C")
         if not np.isfinite(arr).all():
             raise ValueError(f"checkpoint array {name} is not finite")
         return arr

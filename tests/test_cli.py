@@ -307,9 +307,11 @@ class TestPredictAndEval:
         "nul id": ({"id": "a\0b"}, "'a\\x00b' is not a file name"),
         "list id": ({"id": ["x"]}, "line 4: id must be a string"),
         "bool static": ({"rho": True}, "line 4: rho must be a number"),
-        "bool theta": ({"theta": True}, "line 4: step 'theta' and 'f'"),
+        "bool theta": ({"theta": True},
+                       "line 4: steps[2].theta must be a number, got True"),
         "string static": ({"rho": "1.0"}, "line 4: rho must be a number"),
-        "string theta": ({"theta": "1.5"}, "line 4: step 'theta' and 'f'"),
+        "string theta": ({"theta": "1.5"},
+                         "line 4: steps[2].theta must be a number, got '1.5'"),
         # json.dumps writes these as integers, which no float64 holds
         "huge int static": ({"rho": 10 ** 400},
                             "line 4: rho: int too large to convert to float"),
@@ -467,14 +469,17 @@ class TestDTWCommand:
             f"error: {a}, {b}: DTW distance overflows float64\n")
 
     @pytest.mark.parametrize("text, where", [
-        ("", ": no numbers"), ("0.5\nnan\n", " line 2:"),
-        ("\n-inf\n0.2\n", " line 2:")], ids=["empty", "nan", "inf"])
+        (b"", ": no numbers"), (b"0.5\nnan\n", " line 2:"),
+        (b"\n-inf\n0.2\n", " line 2:"), (b"0.5\n\xff\n0.2\n", " line 2:")],
+        ids=["empty", "nan", "inf", "byte 0xff"])
     def test_bad_curve_file_named(self, tmp_path, capsys, text, where):
+        """One stderr line; a byte that is not UTF-8 names its line."""
         good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
         good.write_text("1.0\n0.5\n")
-        bad.write_text(text)
+        bad.write_bytes(text)
         assert run(["dtw", "--a", str(good), "--b", str(bad)]) == 1
-        assert f"{bad}{where}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}{where}") and err.count("\n") == 1
 
     def test_exact_and_radius_conflict(self, tmp_path):
         curve = tmp_path / "c.txt"

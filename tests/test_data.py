@@ -241,6 +241,20 @@ class TestDatasetFiles:
         with pytest.raises(DatasetParseError, match="line 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("line", [b"[" * 100_000, b'{"id": "\xff"}'],
+                             ids=["100000 brackets", "byte 0xff"])
+    def test_undecodable_or_too_deep_line_names_file_and_line(
+            self, tmp_path, line):
+        """json.loads raises RecursionError on a deep line, and a byte that
+        is not UTF-8 fails to decode; both are parse errors of that line."""
+        path = tmp_path / "data.jsonl"
+        save_dataset(tiny_dataset(1), path)
+        with open(path, "ab") as fh:
+            fh.write(line + b"\n")
+        with pytest.raises(DatasetParseError) as info:
+            load_dataset(path)
+        assert str(info.value).startswith(f"{path}: line 2: ")
+
     def test_errors_name_file_and_field(self, tmp_path):
         path = tmp_path / "one_field.jsonl"
         path.write_text('{"id": "a"}\n')

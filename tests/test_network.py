@@ -1,5 +1,6 @@
 """Recurrent core: cells, stacked forward, BPTT, dropout, checkpoints."""
 
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -16,9 +17,10 @@ from pournet.gradcheck import (check_network_gradients,
                                random_batch)
 from pournet.network import (CellKind, ForwardCache, NetworkConfig,
                              NetworkParams, _HEADS, _gru_step, _lstm_step,
+                             _open_checkpoint,
                              init_params, load_checkpoint, network_backward,
                              network_forward, numerical_gradient,
-                             save_checkpoint, sigmoid)
+                             param_layout, save_checkpoint, sigmoid)
 from pournet.optim import mse_loss
 
 
@@ -865,7 +867,9 @@ class TestCheckpoint:
         ("fractional width", "layer_widths"),
         ("bool dropout index", "dropout_after_layers"),
         ("bool dropout rate", "dropout_rate"),
-        ("float input_width", "input_width"), ("cell_kind 5", "CellKind")])
+        ("float input_width", "input_width"), ("cell_kind 5", "CellKind"),
+        ("huge dropout rate", "int too large to convert to float"),
+        ("central directory offset + 1", None)])
     def test_corrupt_file_names_file(self, tmp_path, case, leaf):
         """leaf names the array, or the key or values the message names."""
         path = tmp_path / "model.npz"
@@ -882,7 +886,8 @@ class TestCheckpoint:
                       "bool dropout index": {"dropout_after_layers": [True]},
                       "bool dropout rate": {"dropout_rate": False},
                       "float input_width": {"input_width": 9.0},
-                      "cell_kind 5": {"cell_kind": 5}}
+                      "cell_kind 5": {"cell_kind": 5},
+                      "huge dropout rate": {"dropout_rate": 10 ** 400}}
         self.rewrite_meta(path, lambda meta: meta.update(
             meta_edits.get(case, {})))
         mean_with_nan = np.arange(9, dtype=np.float64)
@@ -903,6 +908,11 @@ class TestCheckpoint:
             self.rewrite_entry(path, "meta.json", None)
         elif case == "meta not json":
             self.rewrite_entry(path, "meta.json", b"{oops")
+        elif case == "central directory offset + 1":
+            # zipfile seeks before the start of the file: OSError
+            data = bytearray(path.read_bytes())
+            data[-6] += 1
+            path.write_bytes(data)
         elif case in bad_leaves:
             buf = io.BytesIO()
             np.save(buf, bad_leaves[case])
@@ -911,6 +921,68 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(err.value)
         assert leaf is None or leaf in str(err.value)
+
+    def test_huge_npy_header_refused_before_allocating(self, tmp_path):
+        """The header of b_out.npy claims 10**12 entries, 8 TB, and 64 bytes
+        follow it. The header is checked against the expected shape before
+        any data is read."""
+        path = tmp_path / "model.npz"
+        self.rewrite_meta(path, lambda meta: None)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": "<f8", "fortran_order": False, "shape": (10 ** 12,)})
+        self.rewrite_entry(path, "b_out.npy", header.getvalue() + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value).startswith(f"{path}: checkpoint array b_out ")
+        assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("compression, delta", [
+        (zipfile.ZIP_STORED, 1), (zipfile.ZIP_DEFLATED, 0x80)],
+        ids=["stored", "deflated"])
+    def test_every_byte_flip_loads_valid_or_names_file(
+            self, tmp_path, compression, delta):
+        """Each byte of a 1-layer width-2 GRU checkpoint in turn is shifted
+        by delta, and the copy is read from memory as save_checkpoint reads
+        its own bytes back. It either loads with every invariant holding or
+        is refused with a ValueError that starts with the path. Flips make
+        zipfile and zlib raise errors of their own: an unknown compression
+        method, an encrypted entry, a truncated or invalid deflate
+        stream."""
+        config = NetworkConfig(cell_kind="gru", layer_widths=(2,),
+                               dropout_rate=0.0, dropout_after_layers=(),
+                               output_activation="tanh", input_width=9)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, init_params(config, 29), config, self.make_norm())
+        blob = io.BytesIO()
+        with zipfile.ZipFile(path) as src, \
+                zipfile.ZipFile(blob, "w", compression) as dst:
+            for name in src.namelist():
+                dst.writestr(src.getinfo(name), src.read(name), compression)
+        blob, loaded = blob.getvalue(), 0
+        for pos in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[pos] = (flipped[pos] + delta) % 256
+            try:
+                params, net, norm = _open_checkpoint(path, io.BytesIO(flipped))
+            except ValueError as exc:
+                # an error with no message (EOFError) is named by its type
+                assert str(exc).startswith(f"{path}: "), (pos, str(exc))
+                assert str(exc) != f"{path}: ", pos
+                continue
+            loaded += 1
+            assert dataclasses.replace(net) == net
+            assert params.layout == param_layout(net)
+            assert np.isfinite(params.vector).all()
+            assert norm.mode == net.output_activation
+            for stats in (norm.input_mean, norm.input_std):
+                assert stats.shape == (9,) and np.isfinite(stats).all()
+        assert 0 < loaded < len(blob)
 
     def test_readable_by_numpy(self, tmp_path):
         config = NetworkConfig(cell_kind="gru", layer_widths=(4,),

@@ -1,7 +1,12 @@
 """Property tests: DTW metric laws, FastDTW's bound, normalization, splits,
-dataset and checkpoint file round trips."""
+dataset and checkpoint file round trips, and malformed dataset and
+checkpoint files."""
 
+import copy
+import dataclasses
+import json
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +20,8 @@ from pournet.data import (HEADS, NUM_INPUT_FEATURES, NormalizationSpec,
 from oracles import reference_fastdtw
 from pournet.dtw import dtw_exact, fastdtw
 from pournet.network import (CellKind, NetworkConfig, NetworkParams,
-                             load_checkpoint, param_layout, save_checkpoint)
+                             init_params, load_checkpoint, param_layout,
+                             save_checkpoint)
 
 SETTINGS = settings(deadline=None, max_examples=40)
 
@@ -195,3 +201,105 @@ def test_checkpoint_file_round_trip(checkpoint):
     assert loaded_params.layout == params.layout
     assert loaded_params.vector.dtype == np.float64
     assert _bits(loaded_params.vector) == _bits(params.vector)
+
+
+# JSON text of any value: null, bools, integers up to and past float64
+# (10 ** 400), floats with NaN and infinities, strings, small nested lists
+# and objects, and arrays nested past json's recursion limit
+json_texts = st.one_of(
+    st.recursive(st.none() | st.booleans() | st.integers()
+                 | st.integers(min_value=10 ** 400) | st.floats()
+                 | st.text(max_size=4),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                 max_leaves=6).map(json.dumps),
+    st.integers(1, 100_000).map(lambda depth: "[" * depth + "]" * depth))
+DEEP = "[" * 100_000 + "]" * 100_000
+SMALL_NET = NetworkConfig(cell_kind="gru", layer_widths=(2,), dropout_rate=0.0,
+                          dropout_after_layers=(), output_activation="tanh")
+SMALL_NORM = NormalizationSpec(mode="tanh", target_min=0.2, target_max=1.7,
+                               input_mean=np.zeros(NUM_INPUT_FEATURES),
+                               input_std=np.ones(NUM_INPUT_FEATURES))
+META_KEYS = ("format", *(f.name for f in dataclasses.fields(NetworkConfig)),
+             "output_width", "norm_mode", "norm_target_min", "norm_target_max")
+
+
+@SETTINGS
+@given(st.sampled_from(META_KEYS), st.one_of(st.none(), json_texts))
+@example("dropout_rate", str(10 ** 400))
+@example("layer_widths", DEEP)
+def test_any_meta_value_loads_valid_or_names_file(key, value):
+    """meta.json's key is deleted (value None) or set to the JSON text
+    value. The checkpoint either loads with every invariant holding or
+    is refused with a ValueError that starts with the path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.npz"
+        save_checkpoint(path, init_params(SMALL_NET, 0), SMALL_NET, SMALL_NORM)
+        with zipfile.ZipFile(path) as zf:
+            entries = {name: zf.read(name) for name in zf.namelist()}
+        meta = json.loads(entries["meta.json"])
+        if value is None:
+            del meta[key]
+            text = json.dumps(meta)
+        else:  # json.loads keeps the last of two equal keys
+            text = json.dumps(meta)[:-1] + f", {json.dumps(key)}: {value}}}"
+        entries["meta.json"] = text.encode("utf-8")
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in entries.items():
+                zf.writestr(name, data)
+        try:
+            params, config, norm = load_checkpoint(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+    assert dataclasses.replace(config) == config
+    assert params.layout == param_layout(config)
+    assert np.isfinite(params.vector).all()
+    assert dataclasses.replace(norm).mode == config.output_activation
+    assert np.isfinite([norm.input_mean, norm.input_std]).all()
+
+
+BASE_RECORD = {"id": "a", **dataclasses.asdict(STATICS),
+               "steps": [{"theta": 0.0, "f": 1.0}, {"theta": 10.0, "f": 0.5}]}
+FIELDS = [(name,) for name in BASE_RECORD]
+FIELDS += [("steps", k, key) for k in (0, 1) for key in ("theta", "f")]
+field_edits = st.tuples(st.sampled_from(FIELDS),
+                        st.one_of(st.none(), json_texts))
+raw_lines = st.binary(max_size=40).map(lambda line: line.replace(b"\n", b" "))
+
+
+@SETTINGS
+@given(st.one_of(field_edits, raw_lines))
+@example(b'{"id": "\xff"}')
+@example((("steps", 1, "theta"), DEEP))
+def test_any_record_loads_valid_or_names_file_and_line(edit):
+    """The second line of a dataset is raw bytes, or a valid record with
+    one field, or one step's field, deleted (value None) or set to the
+    JSON text value. The file either loads with every invariant holding
+    or is refused with a ValueError that names the file and line 2."""
+    if isinstance(edit, bytes):
+        line = edit
+    else:
+        where, value = edit
+        record = copy.deepcopy(BASE_RECORD)
+        target = record
+        for key in where[:-1]:
+            target = target[key]
+        if value is None:
+            del target[where[-1]]
+        else:
+            target[where[-1]] = "@value@"
+        line = json.dumps(record).replace('"@value@"', value or "").encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        path.write_bytes(json.dumps(BASE_RECORD).encode() + b"\n" + line + b"\n")
+        try:
+            seqs = load_dataset(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: line 2: ")
+            return
+    for seq in seqs:
+        assert isinstance(seq.id, str)
+        assert PouringSequence(id=seq.id, thetas=seq.thetas,
+                               weights=seq.weights,
+                               statics=dataclasses.replace(seq.statics)) == seq
