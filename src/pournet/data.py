@@ -327,6 +327,11 @@ def _record_to_sequence(record) -> PouringSequence:
             raise ValueError(f"missing field {name!r}")
     if not isinstance(record["id"], str):
         raise ValueError(f"id must be a string, got {record['id']!r}")
+    try:
+        record["id"].encode("utf-8")
+    except UnicodeEncodeError as exc:  # JSON can spell a lone surrogate
+        raise ValueError(f"id {record['id']!r} is not UTF-8 text: "
+                         f"{exc.reason}") from exc
     statics = StaticFeatures(**{name: _number(record[name], name)
                                 for name in _STATIC_FIELDS})
     steps = record["steps"]

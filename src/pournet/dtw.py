@@ -23,10 +23,15 @@ path (full-radius FastDTW equals exact DTW):
   fastest of 40 calls, tracemalloc peak). A matrix of Python floats
   took 1.4 s and 128 MB.
 - FastDTW's windows are a few cells wide, so ``_dtw_dp`` loops over them
-  in Python and stores only each row's window. On the 30-50-step curves
-  that ``eval-dtw`` scores, the block kernel costs about 3.0 us per
-  diagonal and FastDTW's levels add up to 110-190 diagonals: 0.3-0.6 ms
-  per pair against 0.2-0.5 ms for the scalar loop (same VM).
+  in Python and stores only each row's window. A coarse row's two fine
+  rows share one window, so one loop fills both, column by column, and
+  pays the per-row set-up (about 1 us, against about 125 ns per cell)
+  once per pair. At radius 1 that takes 0.17-0.28 ms per pair of the
+  30-50-step curves that ``eval-dtw`` scores, against 0.18-0.34 ms with
+  one loop per row, and 46 against 55 ms for eight random-walk pairs of
+  200-2000 steps (same VM, medians of alternating runs). The block
+  kernel, at about 3.0 us per diagonal over the 110-190 diagonals of
+  FastDTW's levels, would take 0.3-0.6 ms on those short curves.
 """
 
 from __future__ import annotations
@@ -95,13 +100,18 @@ def _as_float_array(x, name: str) -> np.ndarray:
 
 
 def _dtw_dp(a, b, los, his) -> DTWResult:
-    """Windowed DTW dynamic program; row i spans the inclusive columns
-    los[i]..his[i].
+    """Windowed DTW dynamic program over row pairs; rows 2p and 2p + 1
+    both span the inclusive columns los[p]..his[p].
 
     Cells outside the window act as +inf. The backtrace breaks ties by
     preferring the diagonal, then the i-decrement, then the j-decrement.
-    The lower bounds must not decrease from row to row, as they do not in
-    full windows and FastDTW's projected windows.
+    The lower bounds must not decrease from pair to pair, as they do not
+    in full windows and FastDTW's projected windows.
+
+    One loop fills both rows of a pair, column by column: row 2p's cell j
+    is the next cell's diag and row 2p + 1's up. When len(a) is odd, the
+    last pair's second row is a phantom copy of a's last value, dropped
+    before the distance is read.
 
     Only the window of each row is stored: ``rows[i + 1]`` holds row i at
     columns ``offs[i + 1]`` onward, with an +inf sentinel at each end, and
@@ -109,31 +119,42 @@ def _dtw_dp(a, b, los, his) -> DTWResult:
     elsewhere, so the origin needs no special case.
     """
     m, n = len(a), len(b)
+    a_odd = a[1::2] + a[m - 1:] if m % 2 else a[1::2]
     above, off_a = [0.0, _INF], -1
     rows, offs = [above], [off_a]
-    for ai, lo, hi in zip(a, los, his):
+    for a0, a1, lo, hi in zip(a[::2], a_odd, los, his):
         short = hi + 1 - off_a - len(above)
         if short > 0:
             above.extend([_INF] * short)
-        left = _INF
-        row = [left]
-        append = row.append
+        left0 = left1 = _INF
+        row0, row1 = [left0], [left1]
+        append0, append1 = row0.append, row1.append
         k = lo - off_a
-        # each cell's up is the next cell's diag
+        # each cell's up is the next cell's diag, and row 2p's cell is
+        # row 2p + 1's up there and its diag one column on
         diag = above[k - 1]
         for bj, up in zip(b[lo:hi + 1], above[k:]):
             best = diag
             if up < best:
                 best = up
-            if left < best:
-                best = left
-            left = abs(ai - bj) + best
-            append(left)
+            if left0 < best:
+                best = left0
+            best1 = left0
+            left0 = abs(a0 - bj) + best
+            append0(left0)
+            if left0 < best1:
+                best1 = left0
+            if left1 < best1:
+                best1 = left1
+            left1 = abs(a1 - bj) + best1
+            append1(left1)
             diag = up
-        append(_INF)
-        above, off_a = row, lo - 1
-        rows.append(above)
-        offs.append(off_a)
+        append0(_INF)
+        append1(_INF)
+        above, off_a = row1, lo - 1
+        rows += row0, row1
+        offs += off_a, off_a
+    above = rows[m]
     distance = above[n - 1 - off_a]
     if not distance < _INF:  # every window holds a path; nan is inf - inf
         raise DistanceOverflowError("DTW distance overflows float64")
@@ -235,7 +256,10 @@ def dtw_exact(a, b) -> DTWResult:
         s = n + K - 1 - d0 - k_n + i0
         b_view = toep[s:s + k_n, :L][::-1]
         cost = R[2:]
-        np.subtract(a_pad[i0:i0 + L], b_view, out=cost)
+        # a - b with a contiguous second operand: copying the reversed
+        # view first is cheaper than subtracting from it
+        np.copyto(cost, b_view)
+        np.subtract(a_pad[i0:i0 + L], cost, out=cost)
         np.abs(cost, out=cost)
         cost[:, 0] = _INF
         du = du_flat[:k_n * L].reshape(k_n, L)
@@ -300,9 +324,10 @@ def _fastdtw_rec(a, b, radius) -> DTWResult:
     min_size = radius + 2
     m, n = len(a), len(b)
     if m <= min_size or n <= min_size:
-        return _dtw_dp(a, b, [0] * m, [n - 1] * m)
+        pairs = (m + 1) // 2
+        return _dtw_dp(a, b, [0] * pairs, [n - 1] * pairs)
     coarse = _fastdtw_rec(_halve(a), _halve(b), radius)
-    return _dtw_dp(a, b, *_expanded_window(coarse.path, m, n, radius))
+    return _dtw_dp(a, b, *_expanded_window(coarse.path, n, radius))
 
 
 def _halve(seq):
@@ -312,10 +337,11 @@ def _halve(seq):
     return half
 
 
-def _expanded_window(coarse_path, m: int, n: int, radius: int):
-    """Per-row column bounds (los, his): the coarse path dilated by the
-    radius at the coarse resolution, then projected onto the doubled
-    resolution, where coarse row c covers fine rows 2c and 2c + 1.
+def _expanded_window(coarse_path, n: int, radius: int):
+    """Per-coarse-row column bounds (los, his) at the doubled resolution:
+    the coarse path dilated by the radius at the coarse resolution, then
+    projected onto the columns that coarse row c's fine rows 2c and
+    2c + 1 share.
 
     The path is monotone, so the widest columns within the radius of
     coarse row c are the first column of row c - radius and the last of
@@ -328,12 +354,9 @@ def _expanded_window(coarse_path, m: int, n: int, radius: int):
     for pi, pj in coarse_path:
         last[pi] = pj
     r = min(radius, top)
-    lo = [max(0, 2 * (j - radius)) for j in first[:1] * r + first[:top + 1 - r]]
-    hi = [min(n - 1, 2 * (j + radius) + 1) for j in last[r:] + last[-1:] * r]
-    los, his = lo * 2, hi * 2
-    los[::2] = los[1::2] = lo
-    his[::2] = his[1::2] = hi
-    return los[:m], his[:m]
+    los = [max(0, 2 * (j - radius)) for j in first[:1] * r + first[:top + 1 - r]]
+    his = [min(n - 1, 2 * (j + radius) + 1) for j in last[r:] + last[-1:] * r]
+    return los, his
 
 
 def score_testset(pairs, radius: int = 1) -> TestsetScore:

@@ -104,7 +104,10 @@ class NetworkConfig:
         rate = self.dropout_rate
         if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
             raise ValueError(f"dropout_rate must be a real number, got {rate!r}")
-        object.__setattr__(self, "dropout_rate", float(rate))
+        try:
+            object.__setattr__(self, "dropout_rate", float(rate))
+        except OverflowError as exc:
+            raise ValueError(f"dropout_rate: {exc}") from exc
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         n = len(self.layer_widths)

@@ -306,6 +306,9 @@ class TestPredictAndEval:
         "empty id": ({"id": ""}, "'' is not a file name"),
         "nul id": ({"id": "a\0b"}, "'a\\x00b' is not a file name"),
         "list id": ({"id": ["x"]}, "line 4: id must be a string"),
+        # json.dumps spells it \ud800; no file name can hold it
+        "lone surrogate id": ({"id": "\ud800x"},
+                              "line 4: id '\\ud800x' is not UTF-8 text"),
         "bool static": ({"rho": True}, "line 4: rho must be a number"),
         "bool theta": ({"theta": True},
                        "line 4: steps[2].theta must be a number, got True"),

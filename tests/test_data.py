@@ -267,6 +267,21 @@ class TestDatasetFiles:
             load_dataset(path)
         assert str(info.value).startswith(f"{path}: line 1:")
 
+    def test_lone_surrogate_id_names_file_and_line(self, tmp_path):
+        """JSON can spell a lone surrogate, which no UTF-8 text, and so no
+        file name that predict writes, can hold."""
+        path = tmp_path / "data.jsonl"
+        save_dataset(tiny_dataset(3), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["id"] = "\ud800" + record["id"]
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetSchemaError) as info:
+            load_dataset(path)
+        assert str(info.value).startswith(
+            f"{path}: line 2: id '\\ud800{record['id'][1:]}' is not UTF-8 text")
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

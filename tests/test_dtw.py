@@ -103,7 +103,9 @@ class TestDTWExact:
             a = rng.integers(-2, 3, m).astype(float)
             b = rng.integers(-2, 3, n).astype(float)
             exact = dtw_exact(a, b)
-            full = _dtw_dp(a.tolist(), b.tolist(), [0] * m, [n - 1] * m)
+            pairs = (m + 1) // 2
+            full = _dtw_dp(a.tolist(), b.tolist(), [0] * pairs,
+                           [n - 1] * pairs)
             assert (exact.distance, exact.path) == (full.distance, full.path)
             if m + n <= 12:
                 assert exact.distance == enumerate_dtw_distance(a, b)
@@ -229,6 +231,22 @@ class TestFastDTW:
             assert ((fast.distance, fast.path)
                     == reference_fastdtw(a, b, radius)), (case, m, n)
 
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_equals_frozen_reference_on_short_pairs(self, radius):
+        """Every length pair of 1-5, 7 and 8 steps: odd lengths at each
+        level make _dtw_dp fill a phantom row after a's last one, and
+        short ones take the base case."""
+        rng = np.random.default_rng(21 + radius)
+        lengths = (1, 2, 3, 4, 5, 7, 8)
+        for m in lengths:
+            for n in lengths:
+                for a, b in ((rng.standard_normal(m), rng.standard_normal(n)),
+                             (rng.integers(-2, 3, m).astype(float),
+                              rng.integers(-2, 3, n).astype(float))):
+                    fast = fastdtw(a, b, radius)
+                    assert ((fast.distance, fast.path)
+                            == reference_fastdtw(a, b, radius)), (m, n)
+
     def test_full_radius_equals_exact_on_long_random_walks(self):
         rng = np.random.default_rng(15)
         assert_full_radius_equals_exact(np.cumsum(rng.standard_normal(300)),
@@ -240,9 +258,11 @@ class TestFastDTW:
             m, n = (int(v) for v in rng.integers(1, 120, size=2))
             coarse = random_warp_path(rng, (m + 1) // 2, (n + 1) // 2)
             radius = int(rng.integers(0, 4))
-            los, his = _expanded_window(coarse, m, n, radius)
-            assert (list(zip(los, his))
-                    == brute_force_window(coarse, m, n, radius))
+            los, his = _expanded_window(coarse, n, radius)
+            # coarse row p's bounds are those of fine rows 2p and 2p + 1
+            assert len(los) == len(his) == (m + 1) // 2
+            fine = [bounds for bounds in zip(los, his) for _ in range(2)]
+            assert fine[:m] == brute_force_window(coarse, m, n, radius)
 
     def test_identity_any_radius(self):
         rng = np.random.default_rng(8)

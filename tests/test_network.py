@@ -868,7 +868,7 @@ class TestCheckpoint:
         ("bool dropout index", "dropout_after_layers"),
         ("bool dropout rate", "dropout_rate"),
         ("float input_width", "input_width"), ("cell_kind 5", "CellKind"),
-        ("huge dropout rate", "int too large to convert to float"),
+        ("huge dropout rate", "dropout_rate: int"),
         ("central directory offset + 1", None)])
     def test_corrupt_file_names_file(self, tmp_path, case, leaf):
         """leaf names the array, or the key or values the message names."""
