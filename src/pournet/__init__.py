@@ -5,8 +5,8 @@ LSTM/GRU networks, and score predictions with exact DTW and FastDTW."""
 from .data import (NormalizationSpec, PaddedBatch, PouringSequence,
                    StaticFeatures, fit_normalization, load_dataset,
                    pad_and_batch, save_dataset, split_dataset)
-from .dtw import (DTWResult, TestsetScore, dtw_exact, export_alignment,
-                  fastdtw, score_testset, validate_warp_path)
+from .dtw import (DTWResult, dtw_exact, export_alignment, fastdtw,
+                  score_testset, validate_warp_path)
 from .network import (CellKind, ForwardCache, LayerParams, NetworkConfig,
                       NetworkParams, init_params, load_checkpoint,
                       network_backward, network_forward, numerical_gradient,

@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from statistics import fmean, median
 
 import numpy as np
 
@@ -42,6 +43,18 @@ def _ensure_parent(path) -> str:
     return str(path)
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy's generators take no negative seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pournet",
@@ -51,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic pouring dataset")
     p.add_argument("--n", type=int, default=200,
                    help="number of sequences (default: 200)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="generator seed (default: 0)")
     p.add_argument("--noise", type=float, default=0.01,
                    help="observation noise stddev in lbf (default: 0.01)")
@@ -72,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Adam learning rate (default: 0.01)")
     p.add_argument("--batch-size", type=int, default=32,
                    help="mini-batch size (default: 32)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="split/init/shuffle seed (default: 0)")
     p.add_argument("--out-model", required=True,
                    help="checkpoint path (prefix with --all-variants)")
@@ -102,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck",
                        help="verify BPTT against complex-step derivatives")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="batch/init seed (default: 0)")
     p.add_argument("--eps", type=float, default=COMPLEX_STEP,
                    help=f"complex step h (default: {COMPLEX_STEP:g})")
@@ -138,25 +151,36 @@ def _variant_paths(base: str, suffix: str, cell: str, head: str) -> str:
 
 def _cmd_train(args) -> int:
     if args.all_variants:
-        variants = [(c, h) for c in CELLS for h in HEADS]
+        if args.cell or args.head:
+            raise UsageError("--cell and --head cannot be combined with "
+                             "--all-variants")
+        variants = [(c, h, _variant_paths(args.out_model, ".npz", c, h),
+                     _variant_paths(args.out_losses, ".csv", c, h))
+                    for c in CELLS for h in HEADS]
     else:
         if not (args.cell and args.head):
             raise UsageError("--cell and --head are required "
                              "unless --all-variants is set")
-        variants = [(args.cell, args.head)]
+        variants = [(args.cell, args.head, args.out_model, args.out_losses)]
+    data = Path(args.data).resolve()
+    for _, _, model_path, losses_path in variants:
+        model, losses = Path(model_path).resolve(), Path(losses_path).resolve()
+        if model == losses:
+            raise UsageError(f"--out-model and --out-losses are one file: "
+                             f"{model_path}")
+        if data in (model, losses):
+            raise UsageError(f"an output path is the --data file: {args.data}")
     dataset = load_dataset(args.data)
-    for cell, head in variants:
+    for cell, head, model_path, losses_path in variants:
         net = NetworkConfig(cell_kind=CellKind(cell), output_activation=head)
         config = TrainConfig(network=net, epochs=args.epochs, lr=args.lr,
                              batch_size=args.batch_size, seed=args.seed,
                              masked_loss=not args.unmasked_loss,
                              keep_best_validation=args.keep_best_val)
-        params, norm, report = train(dataset, config)
-        if args.all_variants:
-            model_path = _variant_paths(args.out_model, ".npz", cell, head)
-            losses_path = _variant_paths(args.out_losses, ".csv", cell, head)
-        else:
-            model_path, losses_path = args.out_model, args.out_losses
+        try:
+            params, norm, report = train(dataset, config)
+        except ValueError as exc:
+            raise ValueError(f"{args.data}: {exc}") from exc
         save_checkpoint(_ensure_parent(model_path), params, net, norm)
         export_loss_curve(report, _ensure_parent(losses_path))
         print(f"{cell}-{head}: train {report.train_losses[-1]:.6g} "
@@ -215,8 +239,8 @@ def _cmd_eval_dtw(args) -> int:
         raise ValueError(f"{args.data}: no sequences to score")
     curves = _finite_predictions(args.model, params, net, norm, seqs)
     try:
-        score = score_testset(zip(curves, (seq.weights for seq in seqs)),
-                              args.radius)
+        results = score_testset(zip(curves, (seq.weights for seq in seqs)),
+                                args.radius)
     except DistanceOverflowError as exc:
         raise ValueError(f"{args.model}: DTW distance for "
                          f"{seqs[exc.pair].id!r} overflows float64") from exc
@@ -224,20 +248,23 @@ def _cmd_eval_dtw(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     # fastdtw checked both curves and built each path, so the rows are
     # written without export_alignment's second check
-    for seq, curve, result in zip(seqs, curves, score.results):
+    for seq, curve, result in zip(seqs, curves, results):
         _write_alignment(result.path, curve.tolist(), seq.weights.tolist(),
                          out_dir / f"align_{seq.id}.csv")
+    distances = [result.distance for result in results]
+    mean = fmean(distances)
+    middle = float(median(distances))
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("id,distance\n")
-        for seq, distance in zip(seqs, score.distances):
+        for seq, distance in zip(seqs, distances):
             fh.write(f"{seq.id},{distance!r}\n")
-        fh.write(f"mean,{score.mean!r}\n")
-        fh.write(f"median,{score.median!r}\n")
-        fh.write(f"min,{score.min!r}\n")
-        fh.write(f"max,{score.max!r}\n")
-    print(f"scored {len(seqs)} sequences: mean {score.mean:.6g} "
-          f"median {score.median:.6g} -> {summary_path}")
+        fh.write(f"mean,{mean!r}\n")
+        fh.write(f"median,{middle!r}\n")
+        fh.write(f"min,{min(distances)!r}\n")
+        fh.write(f"max,{max(distances)!r}\n")
+    print(f"scored {len(seqs)} sequences: mean {mean:.6g} "
+          f"median {middle:.6g} -> {summary_path}")
     return 0
 
 

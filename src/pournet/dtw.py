@@ -37,7 +37,6 @@ path (full-radius FastDTW equals exact DTW):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import fmean, median
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,21 +57,6 @@ class DTWResult:
 
     distance: float
     path: list  # of (i, j) tuples
-
-
-@dataclass
-class TestsetScore:
-    """Per-pair FastDTW results plus summary statistics of their distances."""
-
-    results: list  # of DTWResult, one per pair
-    mean: float
-    median: float
-    min: float
-    max: float
-
-    @property
-    def distances(self) -> list:
-        return [r.distance for r in self.results]
 
 
 def validate_warp_path(path, len_a: int, len_b: int) -> None:
@@ -359,11 +343,8 @@ def _expanded_window(coarse_path, n: int, radius: int):
     return los, his
 
 
-def score_testset(pairs, radius: int = 1) -> TestsetScore:
-    """FastDTW result for each (predicted, actual) pair plus aggregates."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one curve pair to score")
+def score_testset(pairs, radius: int = 1) -> list:
+    """fastdtw's DTWResult for each (predicted, actual) pair, in order."""
     results = []
     for k, (pred, actual) in enumerate(pairs):
         try:
@@ -371,10 +352,7 @@ def score_testset(pairs, radius: int = 1) -> TestsetScore:
         except DistanceOverflowError as exc:
             exc.pair = k
             raise
-    distances = [r.distance for r in results]
-    return TestsetScore(results=results, mean=fmean(distances),
-                        median=float(median(distances)),
-                        min=min(distances), max=max(distances))
+    return results
 
 
 def export_alignment(result: DTWResult, a, b, path_out) -> None:

@@ -90,6 +90,81 @@ class TestTrain:
         assert "model_gru_tanh.npz" in written
         assert len(list(tmp_path.glob("losses_*.csv"))) == 6
 
+    def test_all_variants_with_one_shared_prefix(self, data_file, tmp_path):
+        """The suffixes keep the checkpoint and the loss curve apart."""
+        prefix = str(tmp_path / "run")
+        assert run(["train", "--data", str(data_file), "--all-variants",
+                    "--epochs", "1", "--out-model", prefix,
+                    "--out-losses", prefix]) == 0
+        assert len(list(tmp_path.glob("run_*.npz"))) == 6
+        assert len(list(tmp_path.glob("run_*.csv"))) == 6
+
+    @pytest.mark.parametrize("losses", ["same", "sub/../same"])
+    def test_one_path_for_both_outputs_refused(self, losses, data_file,
+                                               tmp_path, capsys):
+        """The loss curve would overwrite the checkpoint."""
+        (tmp_path / "sub").mkdir()
+        code = run(["train", "--data", str(data_file), "--cell", "gru",
+                    "--head", "tanh", "--epochs", "1",
+                    "--out-model", str(tmp_path / "same"),
+                    "--out-losses", str(tmp_path / losses)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: --out-model and --out-losses are one file: "
+                       f"{tmp_path / 'same'}\n")
+        assert not (tmp_path / "same").exists()
+
+    @pytest.mark.parametrize("output", ["--out-model", "--out-losses"])
+    def test_output_over_the_dataset_refused(self, output, data_file,
+                                             tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(data_file.read_bytes())
+        argv = ["train", "--data", str(data), "--cell", "gru",
+                "--head", "tanh", "--epochs", "1"]
+        paths = {"--out-model": tmp_path / "m.npz",
+                 "--out-losses": tmp_path / "l.csv", output: data}
+        for flag, path in paths.items():
+            argv += [flag, str(path)]
+        code = run(argv)
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: an output path is the "
+                                           f"--data file: {data}\n")
+        assert data.read_bytes() == data_file.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+    @pytest.mark.parametrize("flag", [["--cell", "gru"], ["--head", "tanh"]])
+    def test_all_variants_with_cell_or_head_refused(self, flag, data_file,
+                                                    tmp_path, capsys):
+        code = run(["train", "--data", str(data_file), "--all-variants",
+                    *flag, "--epochs", "1",
+                    "--out-model", str(tmp_path / "out" / "model"),
+                    "--out-losses", str(tmp_path / "out" / "losses")])
+        assert code == 2
+        assert "cannot be combined with --all-variants" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("count, weight, message", [
+        (5, None, "need at least 10 sequences to split, got 5"),
+        (12, 1.0, "degenerate target range: all training targets equal 1.0")])
+    def test_dataset_refusal_names_the_file(self, count, weight, message,
+                                            data_file, tmp_path, capsys):
+        records = [json.loads(line)
+                   for line in data_file.read_text().splitlines()[:count]]
+        if weight is not None:
+            for record in records:
+                for step in record["steps"]:
+                    step["f"] = weight
+        data = tmp_path / "small.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code = run(["train", "--data", str(data), "--cell", "gru",
+                    "--head", "tanh", "--epochs", "1",
+                    "--out-model", str(tmp_path / "m.npz"),
+                    "--out-losses", str(tmp_path / "l.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+        assert not (tmp_path / "m.npz").exists()
+        assert not (tmp_path / "l.csv").exists()
+
     def test_reproducible_outputs(self, data_file, tmp_path):
         outs = []
         for tag in ("x", "y"):
@@ -188,6 +263,7 @@ class TestPredictAndEval:
         distances = [float(line.split(",")[1]) for line in summary[1:31]]
         assert float(footer["mean"]) == pytest.approx(np.mean(distances),
                                                       rel=1e-12)
+        assert float(footer["median"]) == np.median(distances)
         assert float(footer["min"]) == min(distances)
         assert float(footer["max"]) == max(distances)
 
@@ -504,6 +580,20 @@ class TestUsage:
                     "--out", str(tmp_path / "out")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("synth", ["--out", "data.jsonl"]),
+        ("train", ["--data", "data.jsonl", "--cell", "gru", "--head", "tanh",
+                   "--out-model", "m.npz", "--out-losses", "l.csv"]),
+        ("gradcheck", [])])
+    def test_negative_seed_names_the_flag(self, command, flags, tmp_path,
+                                          monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run([command, "--seed", "-1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --seed: must be non-negative, "
+                            "got -1\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["synth", "train", "predict",
                                          "eval-dtw", "gradcheck", "dtw"])

@@ -314,26 +314,22 @@ class TestFastDTW:
 class TestScoreTestset:
     def test_perfect_predictions(self):
         curves = [np.linspace(1.0, 0.4, n) for n in (5, 9, 13)]
-        score = score_testset([(c, c) for c in curves], radius=1)
-        assert score.distances == [0.0, 0.0, 0.0]
-        assert score.mean == 0.0 and score.max == 0.0
+        results = score_testset([(c, c) for c in curves], radius=1)
+        assert [r.distance for r in results] == [0.0, 0.0, 0.0]
 
     def test_single_pair(self):
-        score = score_testset([([0.0, 0.0], [1.0, 1.0])], radius=1)
-        assert score.mean == score.median == score.distances[0] == 2.0
+        results = score_testset([([0.0, 0.0], [1.0, 1.0])], radius=1)
+        assert [r.distance for r in results] == [2.0]
 
-    def test_mean_is_arithmetic_mean(self):
+    def test_results_are_fastdtw_in_pair_order(self):
         rng = np.random.default_rng(10)
         pairs = [(rng.standard_normal(12), rng.standard_normal(15))
                  for _ in range(9)]
-        score = score_testset(pairs, radius=2)
-        assert score.mean == pytest.approx(np.mean(score.distances), rel=1e-12)
-        assert score.min == min(score.distances)
-        assert score.max == max(score.distances)
+        results = score_testset(iter(pairs), radius=2)
+        assert results == [fastdtw(a, b, 2) for a, b in pairs]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            score_testset([], radius=1)
+    def test_empty_gives_empty_list(self):
+        assert score_testset([], radius=1) == []
 
     def test_overflow_names_the_pair(self):
         pairs = [([0.0, 1.0], [1.0, 1.0]), (OVERFLOW_A, OVERFLOW_B),
