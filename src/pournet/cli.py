@@ -191,13 +191,16 @@ def _cmd_train(args) -> int:
 
 def _load_output_dataset(path):
     """load_dataset for commands that write one file per sequence id;
-    raises ValueError naming the file for a repeated id or an id that is
-    not one file-name component."""
+    raises ValueError naming the file for a repeated id, an id that is
+    not one file-name component, or one that a summary.csv row cannot
+    hold unquoted (a comma, a double quote or a line break)."""
     seqs = load_dataset(path)
     seen = set()
     for seq in seqs:
         if seq.id in ("", ".", "..") or "/" in seq.id or "\0" in seq.id:
             raise ValueError(f"{path}: id {seq.id!r} is not a file name")
+        if any(char in seq.id for char in ',"\r\n'):
+            raise ValueError(f"{path}: id {seq.id!r} is not a plain CSV field")
         if seq.id in seen:
             raise ValueError(f"{path}: id {seq.id!r} appears twice")
         seen.add(seq.id)

@@ -43,8 +43,8 @@ class SynthParams:
         t_min, t_max = self.length_range
         if t_min < 5 or t_max < t_min:
             raise ValueError("length_range needs 5 <= T_min <= T_max")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be non-negative")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ValueError("noise_std must be finite and non-negative")
 
 
 def angle_ramp(num_steps: int, max_angle_deg: float, steepness: float) -> np.ndarray:

@@ -70,16 +70,6 @@ class TrainReport:
     val_losses: list
     epoch_seconds: list
     final_test_loss: float
-    config: TrainConfig
-
-    def __post_init__(self):
-        epochs = self.config.epochs
-        if not (len(self.train_losses) == len(self.val_losses)
-                == len(self.epoch_seconds) == epochs):
-            raise ValueError(f"report must carry exactly {epochs} epoch entries")
-        values = [*self.train_losses, *self.val_losses, self.final_test_loss]
-        if not np.isfinite(values).all():
-            raise ValueError("report losses must be finite")
 
 
 def _loss_mask(batch, masked: bool):
@@ -92,12 +82,23 @@ def _eval_loss(params, net: NetworkConfig, batch, masked: bool) -> float:
     return loss
 
 
+def _finite_loss(loss: float, epoch: int, name: str, when: str = "in") -> float:
+    """loss, if finite; else TrainingDivergedError naming it and the epoch."""
+    if not np.isfinite(loss):
+        raise TrainingDivergedError(
+            epoch, f"non-finite {name} loss {when} epoch {epoch}")
+    return loss
+
+
+# an overflow on the way to a non-finite loss is reported once, by its check
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset, config: TrainConfig):
     """Train on a dataset of pouring sequences.
 
     Returns (params, normalization spec, report). Parameters come from
     the final epoch unless keep_best_validation is set, in which case the
-    epoch with the lowest validation loss wins.
+    epoch with the lowest validation loss wins. A non-finite loss or
+    gradient raises TrainingDivergedError with its epoch.
     """
     train_seqs, val_seqs, test_seqs = split_dataset(dataset, config.seed)
     norm = fit_normalization(train_seqs, config.network.output_activation)
@@ -123,9 +124,7 @@ def train(dataset, config: TrainConfig):
                                            mode="train", rng=dropout_rng)
             mask = _loss_mask(batch, config.masked_loss)
             loss, dpred = mse_loss(preds, batch.targets, mask)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    epoch, f"non-finite training loss in epoch {epoch}")
+            _finite_loss(loss, epoch, "training")
             grads = network_backward(params, config.network, cache, dpred, mask)
             try:
                 adam, params = adam_step(adam, params, grads)
@@ -134,13 +133,9 @@ def train(dataset, config: TrainConfig):
             n_real = float(mask.sum())
             weighted_sum += loss * n_real
             weight += n_real
-        train_losses.append(weighted_sum / weight)
-
+        train_losses.append(_finite_loss(weighted_sum / weight, epoch, "training"))
         val_loss = _eval_loss(params, config.network, val_batch, config.masked_loss)
-        if not np.isfinite(val_loss):
-            raise TrainingDivergedError(
-                epoch, f"non-finite validation loss in epoch {epoch}")
-        val_losses.append(val_loss)
+        val_losses.append(_finite_loss(val_loss, epoch, "validation"))
         epoch_seconds.append(time.perf_counter() - tic)
         if config.keep_best_validation and (best is None or val_loss < best[0]):
             best = (val_loss, NetworkParams(params.layout, params.vector.copy()))
@@ -148,11 +143,10 @@ def train(dataset, config: TrainConfig):
     if best is not None:
         params = best[1]
     test_batch = pad_and_batch(test_seqs, norm)
-    final_test_loss = _eval_loss(params, config.network, test_batch,
-                                 config.masked_loss)
+    test_loss = _eval_loss(params, config.network, test_batch, config.masked_loss)
+    _finite_loss(test_loss, config.epochs, "test", when="after")
     report = TrainReport(train_losses=train_losses, val_losses=val_losses,
-                         epoch_seconds=epoch_seconds,
-                         final_test_loss=final_test_loss, config=config)
+                         epoch_seconds=epoch_seconds, final_test_loss=test_loss)
     return params, norm, report
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -54,6 +55,14 @@ class TestSynth:
         assert run(["synth", *flags, "--out", str(a)]) == 0
         assert run(["synth", *flags, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_refused(self, noise, tmp_path, capsys):
+        out = tmp_path / "data.jsonl"
+        assert run(["synth", "--noise", noise, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: noise_std must be finite "
+                                           "and non-negative\n")
+        assert not out.exists()
 
 
 class TestTrain:
@@ -164,6 +173,22 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {data}: {message}\n"
         assert not (tmp_path / "m.npz").exists()
         assert not (tmp_path / "l.csv").exists()
+
+    def test_divergence_is_one_line_and_writes_nothing(self, data_file,
+                                                        tmp_path, capsys):
+        """The overflow on the way to the non-finite loss raises no numpy
+        warning: the error, naming the epoch, is all there is."""
+        model, losses = tmp_path / "m.npz", tmp_path / "l.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["train", "--data", str(data_file), "--cell", "gru",
+                        "--head", "linear", "--lr", "1e300", "--epochs", "2",
+                        "--out-model", str(model), "--out-losses", str(losses)])
+        assert code == 1
+        assert re.fullmatch(r"error: non-finite \w+ loss in epoch [12]\n",
+                            capsys.readouterr().err)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not model.exists() and not losses.exists()
 
     def test_reproducible_outputs(self, data_file, tmp_path):
         outs = []
@@ -381,6 +406,12 @@ class TestPredictAndEval:
         "dotdot id": ({"id": ".."}, "'..' is not a file name"),
         "empty id": ({"id": ""}, "'' is not a file name"),
         "nul id": ({"id": "a\0b"}, "'a\\x00b' is not a file name"),
+        # summary.csv writes ids unquoted
+        "comma id": ({"id": "a,b"}, "'a,b' is not a plain CSV field"),
+        "quote id": ({"id": 'q"uote'}, "'q\"uote' is not a plain CSV field"),
+        "cr id": ({"id": "a\rb"}, "'a\\rb' is not a plain CSV field"),
+        "newline id": ({"id": "line\nbreak"},
+                       "'line\\nbreak' is not a plain CSV field"),
         "list id": ({"id": ["x"]}, "line 4: id must be a string"),
         # json.dumps spells it \ud800; no file name can hold it
         "lone surrogate id": ({"id": "\ud800x"},

@@ -119,3 +119,8 @@ class TestSynthParams:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             SynthParams(noise_std=-0.01)
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="^noise_std must be finite"):
+            SynthParams(noise_std=noise)

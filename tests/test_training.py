@@ -7,7 +7,7 @@ from pournet.data import (PaddedBatch, fit_normalization, pad_and_batch,
                           save_dataset, split_dataset)
 from pournet import training
 from pournet.network import NetworkConfig, network_backward, network_forward
-from pournet.optim import adam_step
+from pournet.optim import adam_step, mse_loss
 from pournet.synth import SynthParams, generate_dataset
 from pournet.training import (TrainConfig, TrainingDivergedError, TrainReport,
                               export_loss_curve, export_prediction, predict,
@@ -162,11 +162,45 @@ class TestTrain:
                 got, ref = getattr(batch, name), getattr(want, name)
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
+    # the overflow on the way to the non-finite loss raises no warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises_with_epoch(self, dataset):
         config = small_config(head="linear", lr=1e300, epochs=4)
         with pytest.raises(TrainingDivergedError) as err:
             train(dataset, config)
         assert err.value.epoch >= 1
+
+    def test_overflowing_epoch_loss_raises_in_its_epoch(self, dataset,
+                                                        monkeypatch):
+        """Every batch loss of 1e307 is finite, but the epoch's weighted
+        sum of them overflows."""
+        def huge_loss(preds, targets, mask):
+            _, dpred = mse_loss(preds, targets, mask)
+            return 1e307, dpred
+
+        monkeypatch.setattr(training, "mse_loss", huge_loss)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^non-finite training loss in epoch 1$") as err:
+            train(dataset, small_config())
+        assert err.value.epoch == 1
+
+    def test_non_finite_test_loss_raises_after_last_epoch(self, dataset,
+                                                          monkeypatch):
+        """_eval_loss runs once per epoch on the validation split, then
+        once on the test split."""
+        eval_loss = training._eval_loss
+        calls = []
+
+        def nan_test_loss(*args):
+            calls.append(1)
+            return float("nan") if len(calls) == 3 else eval_loss(*args)
+
+        monkeypatch.setattr(training, "_eval_loss", nan_test_loss)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^non-finite test loss after epoch 2$") as err:
+            train(dataset, small_config(epochs=2))
+        assert err.value.epoch == 2
+        assert len(calls) == 3
 
     def test_non_finite_gradient_names_leaf_and_epoch(self, dataset,
                                                        monkeypatch):
@@ -305,11 +339,10 @@ class TestExports:
 
     def test_full_protocol_row_count(self, tmp_path):
         # a 150-epoch report exports 150 data rows plus the header
-        config = TrainConfig(network=small_net(), epochs=150)
         report = TrainReport(train_losses=[0.1] * 150,
                              val_losses=[0.2] * 150,
                              epoch_seconds=[0.01] * 150,
-                             final_test_loss=0.15, config=config)
+                             final_test_loss=0.15)
         path = tmp_path / "losses.csv"
         export_loss_curve(report, path)
         assert len(path.read_text().splitlines()) == 151
@@ -334,18 +367,3 @@ class TestExports:
         with pytest.raises(ValueError):
             export_prediction(dataset[0], np.zeros(1), "unused.csv")
 
-
-class TestTrainReport:
-    def test_entry_count_enforced(self, dataset):
-        config = small_config(epochs=2)
-        with pytest.raises(ValueError):
-            TrainReport(train_losses=[0.1], val_losses=[0.1, 0.2],
-                        epoch_seconds=[0.0, 0.0], final_test_loss=0.1,
-                        config=config)
-
-    def test_non_finite_losses_rejected(self, dataset):
-        config = small_config(epochs=1)
-        with pytest.raises(ValueError):
-            TrainReport(train_losses=[float("nan")], val_losses=[0.1],
-                        epoch_seconds=[0.0], final_test_loss=0.1,
-                        config=config)
