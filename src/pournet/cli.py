@@ -28,14 +28,14 @@ from .gradcheck import check_network_gradients, full_scale_gradient_errors
 from .network import (COMPLEX_STEP, CellKind, NetworkConfig, load_checkpoint,
                       save_checkpoint)
 from .synth import SynthParams, generate_dataset
-from .training import (TrainConfig, export_loss_curve, export_prediction,
-                       predict, train)
+from .training import (TrainConfig, TrainingDivergedError, export_loss_curve,
+                       export_prediction, predict, train)
 
 CELLS = tuple(kind.value for kind in CellKind)
 
 
 class UsageError(ValueError):
-    """Flag combination argparse cannot express; maps to exit code 2."""
+    """A refused flag or flag combination; maps to exit code 2."""
 
 
 def _ensure_parent(path) -> str:
@@ -43,34 +43,47 @@ def _ensure_parent(path) -> str:
     return str(path)
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: numpy's generators take no negative seed."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _bounded(parse, low, strict=False):
+    """argparse type of a numeric flag: a finite `parse` (int or float)
+    value of at least `low`, or above `low` when `strict`."""
+    if strict:
+        wanted = f"greater than {low}"
+    else:
+        wanted = "non-negative" if low == 0 else f"at least {low}"
+
+    def convert(text):
+        value = parse(text)  # a ValueError reads "invalid int value: 'x'"
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        if value < low or strict and value == low:
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
+        return value
+
+    convert.__name__ = parse.__name__
+    return convert
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line and exit 2, as run prints it
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pournet",
         description="Learn and evaluate pouring weight-curve predictors.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic pouring dataset")
-    p.add_argument("--n", type=int, default=200,
+    p.add_argument("--n", type=_bounded(int, 1), default=200,
                    help="number of sequences (default: 200)")
-    p.add_argument("--seed", type=_seed, default=0,
+    p.add_argument("--seed", type=_bounded(int, 0), default=0,
                    help="generator seed (default: 0)")
-    p.add_argument("--noise", type=float, default=0.01,
+    p.add_argument("--noise", type=_bounded(float, 0), default=0.01,
                    help="observation noise stddev in lbf (default: 0.01)")
-    p.add_argument("--t-min", type=int, default=20,
+    p.add_argument("--t-min", type=_bounded(int, 5), default=20,
                    help="shortest sequence length (default: 20)")
-    p.add_argument("--t-max", type=int, default=50,
+    p.add_argument("--t-max", type=_bounded(int, 5), default=50,
                    help="longest sequence length (default: 50)")
     p.add_argument("--out", required=True, help="output dataset file")
     p.set_defaults(func=_cmd_synth)
@@ -79,13 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training dataset file")
     p.add_argument("--cell", choices=CELLS, help="recurrent cell kind")
     p.add_argument("--head", choices=HEADS, help="output activation")
-    p.add_argument("--epochs", type=int, default=150,
+    p.add_argument("--epochs", type=_bounded(int, 1), default=150,
                    help="training epochs (default: 150)")
-    p.add_argument("--lr", type=float, default=0.01,
-                   help="Adam learning rate (default: 0.01)")
-    p.add_argument("--batch-size", type=int, default=32,
+    p.add_argument("--lr", type=_bounded(float, 0, strict=True),
+                   default=0.01, help="Adam learning rate (default: 0.01)")
+    p.add_argument("--batch-size", type=_bounded(int, 1), default=32,
                    help="mini-batch size (default: 32)")
-    p.add_argument("--seed", type=_seed, default=0,
+    p.add_argument("--seed", type=_bounded(int, 0), default=0,
                    help="split/init/shuffle seed (default: 0)")
     p.add_argument("--out-model", required=True,
                    help="checkpoint path (prefix with --all-variants)")
@@ -108,18 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-dtw", help="score predictions with FastDTW")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="dataset file to score")
-    p.add_argument("--radius", type=int, default=1,
+    p.add_argument("--radius", type=_bounded(int, 0), default=1,
                    help="FastDTW window radius (default: 1)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_eval_dtw)
 
     p = sub.add_parser("gradcheck",
                        help="verify BPTT against complex-step derivatives")
-    p.add_argument("--seed", type=_seed, default=0,
+    p.add_argument("--seed", type=_bounded(int, 0), default=0,
                    help="batch/init seed (default: 0)")
-    p.add_argument("--eps", type=float, default=COMPLEX_STEP,
+    p.add_argument("--eps", type=_bounded(float, 0, strict=True),
+                   default=COMPLEX_STEP,
                    help=f"complex step h (default: {COMPLEX_STEP:g})")
-    p.add_argument("--tol", type=float, default=1e-4,
+    p.add_argument("--tol", type=_bounded(float, 0), default=1e-4,
                    help="max relative error allowed (default: 1e-4)")
     p.set_defaults(func=_cmd_gradcheck)
 
@@ -129,13 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true",
                        help="full dynamic program instead of FastDTW")
-    group.add_argument("--radius", type=int, default=1,
+    group.add_argument("--radius", type=_bounded(int, 0), default=1,
                        help="FastDTW window radius (default: 1)")
     p.set_defaults(func=_cmd_dtw)
     return parser
 
 
 def _cmd_synth(args) -> int:
+    if args.t_min > args.t_max:
+        raise UsageError(f"--t-min {args.t_min} is above --t-max {args.t_max}")
     params = SynthParams(num_sequences=args.n, seed=args.seed,
                          noise_std=args.noise,
                          length_range=(args.t_min, args.t_max))
@@ -170,6 +186,10 @@ def _cmd_train(args) -> int:
                              f"{model_path}")
         if data in (model, losses):
             raise UsageError(f"an output path is the --data file: {args.data}")
+        for flag, path in (("--out-model", model_path),
+                           ("--out-losses", losses_path)):
+            if Path(path).is_dir():
+                raise UsageError(f"{flag} is a directory: {path}")
     dataset = load_dataset(args.data)
     for cell, head, model_path, losses_path in variants:
         net = NetworkConfig(cell_kind=CellKind(cell), output_activation=head)
@@ -179,8 +199,9 @@ def _cmd_train(args) -> int:
                              keep_best_validation=args.keep_best_val)
         try:
             params, norm, report = train(dataset, config)
-        except ValueError as exc:
-            raise ValueError(f"{args.data}: {exc}") from exc
+        except (ValueError, TrainingDivergedError) as exc:
+            variant = f"{cell}-{head}: " if args.all_variants else ""
+            raise ValueError(f"{args.data}: {variant}{exc}") from exc
         save_checkpoint(_ensure_parent(model_path), params, net, norm)
         export_loss_curve(report, _ensure_parent(losses_path))
         print(f"{cell}-{head}: train {report.train_losses[-1]:.6g} "
@@ -234,8 +255,6 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval_dtw(args) -> int:
-    if args.radius < 0:
-        raise ValueError(f"--radius must be non-negative, got {args.radius}")
     params, net, norm = load_checkpoint(args.model)
     seqs = _load_output_dataset(args.data)
     if not seqs:
@@ -334,13 +353,11 @@ def _cmd_dtw(args) -> int:
 
 def run(argv) -> int:
     """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles --help and usage errors
-        return 0 if exc.code is None else int(exc.code)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's --help
+        return 0 if exc.code is None else int(exc.code)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

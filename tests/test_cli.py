@@ -1,23 +1,30 @@
 """End-to-end command-line workflow in temporary directories."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 import zipfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pournet
 import pournet.cli
 import pournet.dtw
 from pournet.cli import run
-from pournet.data import load_dataset
+from pournet.data import HEADS, load_dataset
 from pournet.dtw import export_alignment
 from pournet.network import load_checkpoint, save_checkpoint
 from pournet.training import predict
@@ -59,9 +66,9 @@ class TestSynth:
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_non_finite_noise_refused(self, noise, tmp_path, capsys):
         out = tmp_path / "data.jsonl"
-        assert run(["synth", "--noise", noise, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == ("error: noise_std must be finite "
-                                           "and non-negative\n")
+        assert run(["synth", "--noise", noise, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: argument --noise: must be "
+                                           f"finite, got {noise}\n")
         assert not out.exists()
 
 
@@ -81,12 +88,6 @@ class TestTrain:
         params, config, norm = load_checkpoint(model_file)
         assert config.output_activation == "tanh"
         assert norm.mode == "tanh"
-
-    def test_missing_cell_is_usage_error(self, data_file, tmp_path):
-        code = run(["train", "--data", str(data_file), "--epochs", "1",
-                    "--out-model", str(tmp_path / "m.npz"),
-                    "--out-losses", str(tmp_path / "l.csv")])
-        assert code == 2
 
     def test_all_variants(self, data_file, tmp_path):
         code = run(["train", "--data", str(data_file), "--all-variants",
@@ -185,10 +186,29 @@ class TestTrain:
                         "--head", "linear", "--lr", "1e300", "--epochs", "2",
                         "--out-model", str(model), "--out-losses", str(losses)])
         assert code == 1
-        assert re.fullmatch(r"error: non-finite \w+ loss in epoch [12]\n",
-                            capsys.readouterr().err)
+        assert re.fullmatch(rf"error: {re.escape(str(data_file))}: non-finite "
+                            r"\w+ loss in epoch [12]\n", capsys.readouterr().err)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not model.exists() and not losses.exists()
+
+    def test_divergence_under_all_variants_names_the_variant(
+            self, data_file, tmp_path, capsys):
+        """The variants trained before the diverging one keep their files;
+        it and the ones after it write none."""
+        code = run(["train", "--data", str(data_file), "--all-variants",
+                    "--lr", "1e300", "--epochs", "2",
+                    "--out-model", str(tmp_path / "m"),
+                    "--out-losses", str(tmp_path / "l")])
+        assert code == 1
+        match = re.fullmatch(rf"error: {re.escape(str(data_file))}: "
+                             r"(\w+)-(\w+): non-finite \w+ loss in epoch "
+                             r"[12]\n", capsys.readouterr().err)
+        assert match
+        variants = [(c, h) for c in pournet.cli.CELLS for h in HEADS]
+        done = variants[:variants.index(match.groups())]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{prefix}_{c}_{h}.{suffix}" for c, h in done
+            for prefix, suffix in (("m", "npz"), ("l", "csv")))
 
     def test_reproducible_outputs(self, data_file, tmp_path):
         outs = []
@@ -363,13 +383,14 @@ class TestPredictAndEval:
         if case == "empty data":
             data = tmp_path / "empty.jsonl"
             data.write_text("")
-            expected = f"error: {data}: no sequences to score"
+            code, expected = 1, f"error: {data}: no sequences to score"
         else:
             radius = "-1"
-            expected = "error: --radius must be non-negative, got -1"
+            code = 2
+            expected = "error: argument --radius: must be non-negative, got -1"
         out = tmp_path / "dtw"
         assert run(["eval-dtw", "--model", str(model_file), "--data",
-                    str(data), "--radius", radius, "--out", str(out)]) == 1
+                    str(data), "--radius", radius, "--out", str(out)]) == code
         assert capsys.readouterr().err.strip() == expected
         assert predicted == []
         assert not out.exists()
@@ -591,20 +612,8 @@ class TestDTWCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}{where}") and err.count("\n") == 1
 
-    def test_exact_and_radius_conflict(self, tmp_path):
-        curve = tmp_path / "c.txt"
-        curve.write_text("1.0\n")
-        assert run(["dtw", "--a", str(curve), "--b", str(curve), "--exact",
-                    "--radius", "2"]) == 2
-
 
 class TestUsage:
-    def test_unknown_flag(self):
-        assert run(["synth", "--bogus", "1", "--out", "x"]) == 2
-
-    def test_unknown_command(self):
-        assert run(["transmogrify"]) == 2
-
     def test_missing_input_file_is_runtime_error(self, tmp_path, capsys):
         code = run(["predict", "--model", str(tmp_path / "nope.npz"),
                     "--data", str(tmp_path / "nope.jsonl"),
@@ -622,8 +631,7 @@ class TestUsage:
         monkeypatch.chdir(tmp_path)
         assert run([command, "--seed", "-1", *flags]) == 2
         err = capsys.readouterr().err
-        assert err.endswith("error: argument --seed: must be non-negative, "
-                            "got -1\n")
+        assert err == "error: argument --seed: must be non-negative, got -1\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["synth", "train", "predict",
@@ -638,3 +646,174 @@ class TestUsage:
         assert "150" in text
         assert "0.01" in text
         assert "32" in text
+
+
+# The refusal contract. A bad flag or flag combination exits 2 before any
+# input file is read; a bad input file or a failed run exits 1. Either way
+# stderr is one line that starts "error: " and names the flag or the file,
+# and no output appears. Each command line is a BASE line with a row's
+# flags appended (argparse keeps the last of a repeated flag). {data} and
+# {model} are a good dataset and checkpoint, and {w} is a directory that
+# _work_dir fills with good, malformed and empty inputs and directories.
+BASE = {
+    "synth": "synth --n 5 --out {w}/out.jsonl",
+    "train": "train --data {data} --epochs 1 --cell gru --head tanh "
+             "--out-model {w}/m.npz --out-losses {w}/l.csv",
+    "train-all": "train --data {data} --epochs 1 --all-variants "
+                 "--out-model {w}/run --out-losses {w}/run",
+    "predict": "predict --model {model} --data {data} --out {w}/out",
+    "eval-dtw": "eval-dtw --model {model} --data {data} --out {w}/out",
+    "gradcheck": "gradcheck",
+    "dtw": "dtw --a {w}/good.txt --b {w}/good.txt",
+}
+# row: command, flags, exit code, the text the stderr line names
+REFUSALS = {
+    "train missing data": ("train", "--data {w}/no.jsonl", 1, "{w}/no.jsonl"),
+    "predict missing model": ("predict", "--model {w}/no.npz", 1,
+                              "{w}/no.npz"),
+    "predict missing data": ("predict", "--data {w}/no.jsonl", 1,
+                             "{w}/no.jsonl"),
+    "eval-dtw missing model": ("eval-dtw", "--model {w}/no.npz", 1,
+                               "{w}/no.npz"),
+    "eval-dtw missing data": ("eval-dtw", "--data {w}/no.jsonl", 1,
+                              "{w}/no.jsonl"),
+    "dtw missing curve": ("dtw", "--b {w}/no.txt", 1, "{w}/no.txt"),
+    "train dir data": ("train", "--data {w}/adir", 1, "{w}/adir"),
+    "predict dir model": ("predict", "--model {w}/adir", 1, "{w}/adir"),
+    "eval-dtw dir data": ("eval-dtw", "--data {w}/adir", 1, "{w}/adir"),
+    "dtw dir curve": ("dtw", "--a {w}/adir", 1, "{w}/adir"),
+    "train bad data": ("train", "--data {w}/bad.jsonl", 1, "{w}/bad.jsonl"),
+    "predict bad model": ("predict", "--model {w}/bad.npz", 1, "{w}/bad.npz"),
+    "predict bad data": ("predict", "--data {w}/bad.jsonl", 1,
+                         "{w}/bad.jsonl"),
+    "eval-dtw bad model": ("eval-dtw", "--model {w}/bad.npz", 1,
+                           "{w}/bad.npz"),
+    "eval-dtw empty data": ("eval-dtw", "--data {w}/empty.jsonl", 1,
+                            "{w}/empty.jsonl"),
+    "dtw bad curve": ("dtw", "--b {w}/bad.txt", 1, "{w}/bad.txt"),
+    "train one path": ("train", "--out-losses {w}/m.npz", 2,
+                       "--out-model and --out-losses"),
+    "train output over data": ("train", "--out-losses {data}", 2, "--data"),
+    "train model dir": ("train", "--out-model {w}/adir", 2, "--out-model"),
+    "train losses dir": ("train", "--out-losses {w}/adir", 2, "--out-losses"),
+    "train all-variants model dir": ("train-all", "--out-model {w}/adir", 2,
+                                     "--out-model"),
+    "train all-variants losses dir": ("train-all", "--out-losses {w}/adir", 2,
+                                      "--out-losses"),
+    "synth out dir": ("synth", "--out {w}/adir", 1, "{w}/adir"),
+    "predict out file": ("predict", "--out {w}/good.txt", 1, "{w}/good.txt"),
+    "synth t-min above t-max": ("synth", "--t-min 30 --t-max 20", 2,
+                                "--t-min"),
+    "train without cell": (None, "train --data {data} --epochs 1 --out-model "
+                                 "{w}/m.npz --out-losses {w}/l.csv", 2,
+                           "--cell"),
+    "train all-variants with cell": ("train-all", "--cell gru", 2,
+                                     "--all-variants"),
+    "dtw exact with radius": ("dtw", "--exact --radius 2", 2, "--radius"),
+    "eval-dtw without out": ("eval-dtw", "--out", 2, "--out"),
+    "synth unknown flag": ("synth", "--bogus 1", 2, "--bogus"),
+    "gradcheck unknown flag": ("gradcheck", "--bogus", 2, "--bogus"),
+    "unknown command": (None, "transmogrify", 2, "transmogrify"),
+}
+# every numeric flag: command, flag, parse, lower bound, strict bound
+RANGED = [("synth", "--n", int, 1, False), ("synth", "--seed", int, 0, False),
+          ("synth", "--noise", float, 0, False),
+          ("synth", "--t-min", int, 5, False),
+          ("synth", "--t-max", int, 5, False),
+          ("train", "--epochs", int, 1, False),
+          ("train", "--batch-size", int, 1, False),
+          ("train", "--lr", float, 0, True),
+          ("train", "--seed", int, 0, False),
+          ("eval-dtw", "--radius", int, 0, False),
+          ("gradcheck", "--seed", int, 0, False),
+          ("gradcheck", "--eps", float, 0, True),
+          ("gradcheck", "--tol", float, 0, False),
+          ("dtw", "--radius", int, 0, False)]
+
+
+def _work_dir(work: Path) -> Path:
+    (work / "adir").mkdir()
+    # all-variants paths from the prefix {w}/adir
+    (work / "adir_gru_tanh.npz").mkdir()
+    (work / "adir_lstm_tanh.csv").mkdir()
+    (work / "good.txt").write_text("1.0\n0.5\n")
+    (work / "bad.txt").write_text("1.0\nnan\n")
+    (work / "bad.jsonl").write_text("{not json\n")
+    (work / "bad.npz").write_bytes(b"not a zip archive")
+    (work / "empty.jsonl").write_text("")
+    return work
+
+
+def _unreadable(parse):
+    """Text that parse (int or float) cannot read."""
+    def unreadable(text):
+        try:
+            parse(text)
+        except ValueError:
+            return True
+        return False
+    return st.text(max_size=6).filter(unreadable)
+
+
+def _out_of_range(parse, low, strict):
+    """Text a flag of that type and bound refuses: a number below the
+    bound (or at it, when strict), a non-finite float, or not a number."""
+    if parse is int:
+        numbers = st.integers(max_value=low - 1)
+    else:  # -0.0 is not below 0
+        numbers = st.floats(max_value=low).filter(lambda x: strict or x < low)
+        numbers |= st.sampled_from([math.nan, math.inf])
+    return numbers.map(str) | _unreadable(parse)
+
+
+class TestRefusalContract:
+    @staticmethod
+    def _assert_refused(argv, work, code, named):
+        """run(argv) exits `code` with one stderr line that starts
+        "error: " and holds `named`; nothing appears under `work`, which
+        holds every --out path that does not exist yet; gradcheck's
+        checks never run; and exit 2 reads no input file."""
+        before = sorted(work.rglob("*"))
+        checks = []
+        with contextlib.ExitStack() as stack:
+            err = io.StringIO()
+            stack.enter_context(contextlib.redirect_stderr(err))
+            for name in ("check_network_gradients",
+                         "full_scale_gradient_errors"):
+                stack.enter_context(mock.patch.object(
+                    pournet.cli, name,
+                    lambda *args, **kwargs: checks.append(args)))
+            readers = [stack.enter_context(mock.patch.object(
+                pournet.cli, name, wraps=getattr(pournet.cli, name)))
+                for name in ("load_dataset", "load_checkpoint", "_read_curve")]
+            assert run(argv) == code
+        line = err.getvalue()
+        assert line.startswith("error: ") and line.count("\n") == 1
+        assert line.endswith("\n") and named in line
+        assert sorted(work.rglob("*")) == before
+        assert checks == []
+        if code == 2:
+            assert not any(reader.called for reader in readers)
+
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_refused(self, case, data_file, model_file, tmp_path):
+        command, flags, code, named = REFUSALS[case]
+        work = _work_dir(tmp_path)
+        names = {"w": work, "data": data_file, "model": model_file}
+        argv = [token.format(**names)
+                for token in f"{BASE.get(command, '')} {flags}".split()]
+        self._assert_refused(argv, work, code, named.format(**names))
+
+    @pytest.mark.parametrize("command, flag, parse, low, strict", RANGED,
+                             ids=[f"{c} {f}" for c, f, *_ in RANGED])
+    @settings(deadline=None, max_examples=20)
+    @given(data=st.data())
+    def test_out_of_range_flag_refused(self, command, flag, parse, low,
+                                       strict, data, data_file, model_file):
+        value = data.draw(_out_of_range(parse, low, strict), label=flag)
+        with tempfile.TemporaryDirectory() as tmp:
+            work = _work_dir(Path(tmp))
+            names = {"w": work, "data": data_file, "model": model_file}
+            argv = [token.format(**names) for token in BASE[command].split()]
+            self._assert_refused([*argv, f"{flag}={value}"], work, 2,
+                                 f"error: argument {flag}: ")
