@@ -22,8 +22,8 @@ from statistics import fmean, median
 import numpy as np
 
 from .data import HEADS, load_dataset, save_dataset
-from .dtw import (DistanceOverflowError, _write_alignment, dtw_exact, fastdtw,
-                  score_testset)
+from .dtw import (DistanceOverflowError, dtw_exact, export_alignment,
+                  fastdtw, score_testset)
 from .gradcheck import check_network_gradients, full_scale_gradient_errors
 from .network import (COMPLEX_STEP, CellKind, NetworkConfig, load_checkpoint,
                       save_checkpoint)
@@ -41,6 +41,22 @@ class UsageError(ValueError):
 def _ensure_parent(path) -> str:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     return str(path)
+
+
+def _check_output(flag, path, directory=False) -> None:
+    """Raise UsageError naming flag unless path can be written as a file
+    (made as a directory when `directory`) without replacing anything:
+    an existing path must be of that kind, and the nearest existing
+    ancestor of a new one must be a directory. Nothing is created."""
+    path = Path(path)
+    if path.exists():
+        if path.is_dir() != directory:
+            kind = "not a directory" if directory else "a directory"
+            raise UsageError(f"{flag} is {kind}: {path}")
+        return
+    ancestor = next(parent for parent in path.parents if parent.exists())
+    if not ancestor.is_dir():
+        raise UsageError(f"{flag} is under a non-directory: {ancestor}")
 
 
 def _bounded(parse, low, strict=False):
@@ -152,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args) -> int:
     if args.t_min > args.t_max:
         raise UsageError(f"--t-min {args.t_min} is above --t-max {args.t_max}")
+    _check_output("--out", args.out)
     params = SynthParams(num_sequences=args.n, seed=args.seed,
                          noise_std=args.noise,
                          length_range=(args.t_min, args.t_max))
@@ -186,10 +203,8 @@ def _cmd_train(args) -> int:
                              f"{model_path}")
         if data in (model, losses):
             raise UsageError(f"an output path is the --data file: {args.data}")
-        for flag, path in (("--out-model", model_path),
-                           ("--out-losses", losses_path)):
-            if Path(path).is_dir():
-                raise UsageError(f"{flag} is a directory: {path}")
+        _check_output("--out-model", model_path)
+        _check_output("--out-losses", losses_path)
     dataset = load_dataset(args.data)
     for cell, head, model_path, losses_path in variants:
         net = NetworkConfig(cell_kind=CellKind(cell), output_activation=head)
@@ -243,6 +258,7 @@ def _finite_predictions(model_path, params, net, norm, seqs) -> list:
 
 
 def _cmd_predict(args) -> int:
+    _check_output("--out", args.out, directory=True)
     params, net, norm = load_checkpoint(args.model)
     seqs = _load_output_dataset(args.data)
     curves = _finite_predictions(args.model, params, net, norm, seqs)
@@ -255,6 +271,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval_dtw(args) -> int:
+    _check_output("--out", args.out, directory=True)
     params, net, norm = load_checkpoint(args.model)
     seqs = _load_output_dataset(args.data)
     if not seqs:
@@ -268,10 +285,8 @@ def _cmd_eval_dtw(args) -> int:
                          f"{seqs[exc.pair].id!r} overflows float64") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # fastdtw checked both curves and built each path, so the rows are
-    # written without export_alignment's second check
     for seq, curve, result in zip(seqs, curves, results):
-        _write_alignment(result.path, curve.tolist(), seq.weights.tolist(),
+        export_alignment(result, curve, seq.weights,
                          out_dir / f"align_{seq.id}.csv")
     distances = [result.distance for result in results]
     mean = fmean(distances)
@@ -362,6 +377,8 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"{exc.filename}: {exc.strerror}"  # the file comes first
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

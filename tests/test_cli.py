@@ -339,8 +339,8 @@ class TestPredictAndEval:
     def test_eval_dtw_writes_paths_without_checking_them_again(
             self, model_file, data_file, tmp_path, monkeypatch):
         """fastdtw already checked the curves and built each path, so
-        eval-dtw writes the rows without a second validate_warp_path; the
-        files equal what export_alignment writes for the same pairs."""
+        eval-dtw writes the rows without validate_warp_path; the files
+        equal what export_alignment writes for the same pairs."""
         calls = []
         real = pournet.dtw.validate_warp_path
 
@@ -362,7 +362,6 @@ class TestPredictAndEval:
                              actual, direct)
             assert (out / f"align_{seq.id}.csv").read_bytes() == \
                 direct.read_bytes()
-        assert len(calls) == len(seqs) == 30
 
     def test_predict_empty_dataset_writes_nothing(self, model_file,
                                                  tmp_path, capsys):
@@ -666,22 +665,27 @@ BASE = {
     "gradcheck": "gradcheck",
     "dtw": "dtw --a {w}/good.txt --b {w}/good.txt",
 }
-# row: command, flags, exit code, the text the stderr line names
+# row: command, flags, exit code, the text the stderr line names; a text
+# that starts "error: " must start the line
 REFUSALS = {
-    "train missing data": ("train", "--data {w}/no.jsonl", 1, "{w}/no.jsonl"),
+    "train missing data": ("train", "--data {w}/no.jsonl", 1,
+                           "error: {w}/no.jsonl: "),
     "predict missing model": ("predict", "--model {w}/no.npz", 1,
-                              "{w}/no.npz"),
+                              "error: {w}/no.npz: "),
     "predict missing data": ("predict", "--data {w}/no.jsonl", 1,
-                             "{w}/no.jsonl"),
+                             "error: {w}/no.jsonl: "),
     "eval-dtw missing model": ("eval-dtw", "--model {w}/no.npz", 1,
-                               "{w}/no.npz"),
+                               "error: {w}/no.npz: "),
     "eval-dtw missing data": ("eval-dtw", "--data {w}/no.jsonl", 1,
-                              "{w}/no.jsonl"),
-    "dtw missing curve": ("dtw", "--b {w}/no.txt", 1, "{w}/no.txt"),
-    "train dir data": ("train", "--data {w}/adir", 1, "{w}/adir"),
-    "predict dir model": ("predict", "--model {w}/adir", 1, "{w}/adir"),
-    "eval-dtw dir data": ("eval-dtw", "--data {w}/adir", 1, "{w}/adir"),
-    "dtw dir curve": ("dtw", "--a {w}/adir", 1, "{w}/adir"),
+                              "error: {w}/no.jsonl: "),
+    "dtw missing curve": ("dtw", "--b {w}/no.txt", 1, "error: {w}/no.txt: "),
+    "train dir data": ("train", "--data {w}/adir", 1, "error: {w}/adir: "),
+    "predict dir model": ("predict", "--model {w}/adir", 1,
+                          "error: {w}/adir: "),
+    "predict dir data": ("predict", "--data {w}/adir", 1, "error: {w}/adir: "),
+    "eval-dtw dir data": ("eval-dtw", "--data {w}/adir", 1,
+                          "error: {w}/adir: "),
+    "dtw dir curve": ("dtw", "--a {w}/adir", 1, "error: {w}/adir: "),
     "train bad data": ("train", "--data {w}/bad.jsonl", 1, "{w}/bad.jsonl"),
     "predict bad model": ("predict", "--model {w}/bad.npz", 1, "{w}/bad.npz"),
     "predict bad data": ("predict", "--data {w}/bad.jsonl", 1,
@@ -700,8 +704,23 @@ REFUSALS = {
                                      "--out-model"),
     "train all-variants losses dir": ("train-all", "--out-losses {w}/adir", 2,
                                       "--out-losses"),
-    "synth out dir": ("synth", "--out {w}/adir", 1, "{w}/adir"),
-    "predict out file": ("predict", "--out {w}/good.txt", 1, "{w}/good.txt"),
+    "train model under file": ("train", "--out-model {w}/good.txt/m.npz", 2,
+                               "--out-model"),
+    "train losses under file": ("train", "--out-losses {w}/good.txt/l.csv", 2,
+                                "--out-losses"),
+    "train all-variants model under file": (
+        "train-all", "--out-model {w}/good.txt/run", 2, "--out-model"),
+    "train all-variants losses under file": (
+        "train-all", "--out-losses {w}/good.txt/run", 2, "--out-losses"),
+    "synth out dir": ("synth", "--out {w}/adir", 2, "--out"),
+    "synth out under file": ("synth", "--out {w}/good.txt/x.jsonl", 2,
+                             "--out"),
+    "predict out file": ("predict", "--out {w}/good.txt", 2, "--out"),
+    "predict out under file": ("predict", "--out {w}/good.txt/out", 2,
+                               "--out"),
+    "eval-dtw out file": ("eval-dtw", "--out {w}/good.txt", 2, "--out"),
+    "eval-dtw out under file": ("eval-dtw", "--out {w}/good.txt/out", 2,
+                                "--out"),
     "synth t-min above t-max": ("synth", "--t-min 30 --t-max 20", 2,
                                 "--t-min"),
     "train without cell": (None, "train --data {data} --epochs 1 --out-model "
@@ -770,7 +789,8 @@ class TestRefusalContract:
     @staticmethod
     def _assert_refused(argv, work, code, named):
         """run(argv) exits `code` with one stderr line that starts
-        "error: " and holds `named`; nothing appears under `work`, which
+        "error: " and holds `named`, or starts with it when `named` starts
+        "error: "; nothing appears under `work`, which
         holds every --out path that does not exist yet; gradcheck's
         checks never run; and exit 2 reads no input file."""
         before = sorted(work.rglob("*"))
@@ -790,6 +810,7 @@ class TestRefusalContract:
         line = err.getvalue()
         assert line.startswith("error: ") and line.count("\n") == 1
         assert line.endswith("\n") and named in line
+        assert line.startswith(named) or not named.startswith("error: ")
         assert sorted(work.rglob("*")) == before
         assert checks == []
         if code == 2:

@@ -9,9 +9,9 @@ import pytest
 import pournet.dtw
 from oracles import (brute_force_window, enumerate_dtw_distance,
                      long_pair_corpus, reference_fastdtw, short_pair_corpus)
-from pournet.dtw import (DistanceOverflowError, _dtw_dp, _expanded_window,
-                         dtw_exact, export_alignment, fastdtw, score_testset,
-                         validate_warp_path)
+from pournet.dtw import (DistanceOverflowError, DTWResult, _dtw_dp,
+                         _expanded_window, dtw_exact, export_alignment,
+                         fastdtw, score_testset, validate_warp_path)
 
 # finite curves whose pointwise differences overflow float64
 OVERFLOW_A = [1e308, -1e308, 0.0]
@@ -369,6 +369,15 @@ class TestExportAlignment:
         result = dtw_exact(a, a)
         with pytest.raises(ValueError):
             export_alignment(result, a, [1.0, 2.0, 3.0], tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("path", [[], [(0, 0), (1, 0)]],
+                             ids=["empty", "short of b"])
+    def test_path_not_ending_at_the_last_cell_refused(self, path, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=r"does not end at \(1, 1\)"):
+            export_alignment(DTWResult(0.0, path), [1.0, 2.0], [1.0, 2.0],
+                             out)
+        assert not out.exists()
 
     def test_unwritable_path_raises(self, tmp_path):
         a = [1.0, 2.0]
