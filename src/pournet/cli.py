@@ -196,15 +196,20 @@ def _cmd_train(args) -> int:
                              "unless --all-variants is set")
         variants = [(args.cell, args.head, args.out_model, args.out_losses)]
     data = Path(args.data).resolve()
-    for _, _, model_path, losses_path in variants:
-        model, losses = Path(model_path).resolve(), Path(losses_path).resolve()
-        if model == losses:
-            raise UsageError(f"--out-model and --out-losses are one file: "
-                             f"{model_path}")
-        if data in (model, losses):
+    outputs = [(flag, path, Path(path).resolve())
+               for *_, model_path, losses_path in variants
+               for flag, path in (("--out-model", model_path),
+                                  ("--out-losses", losses_path))]
+    for flag, path, resolved in outputs:
+        for other_flag, _, other in outputs:
+            if other == resolved and other_flag != flag:
+                raise UsageError(f"--out-model and --out-losses are one "
+                                 f"file: {path}")
+            if other in resolved.parents:
+                raise UsageError(f"{flag} is under {other_flag}: {path}")
+        if resolved == data:
             raise UsageError(f"an output path is the --data file: {args.data}")
-        _check_output("--out-model", model_path)
-        _check_output("--out-losses", losses_path)
+        _check_output(flag, path)
     dataset = load_dataset(args.data)
     for cell, head, model_path, losses_path in variants:
         net = NetworkConfig(cell_kind=CellKind(cell), output_activation=head)

@@ -36,6 +36,7 @@ path (full-radius FastDTW equals exact DTW):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +190,7 @@ def dtw_exact(a, b) -> DTWResult:
     b = _as_float_array(b, "b")
     m, n = len(a), len(b)
     K = _BLOCK
+    fmin, add = np.fmin, np.add
     # a_pad[i + 1] is a[i]; a_pad[0] pairs with row -1, whose costs are
     # reset to +inf
     a_pad = np.concatenate(([0.0], a))
@@ -252,10 +254,11 @@ def dtw_exact(a, b) -> DTWResult:
         # fmin equals minimum here, as no operand is nan: the inputs are
         # finite and every cell is +inf or a sum of non-negative costs.
         # Unlike minimum, fmin takes out positionally, which is cheaper.
-        for k, du_k in enumerate(du[:, :-1]):
-            np.fmin(at_i[k], at_i[k + 1], du_k)
-            np.fmin(du_k, after_i[k + 1], best_k)
-            np.add(after_i[k + 2], best_k, after_i[k + 2])
+        for diag, up, du_k, left, cell in zip(at_i, at_i[1:], du[:, :-1],
+                                              after_i[1:], after_i[2:]):
+            fmin(diag, up, du_k)
+            fmin(du_k, left, best_k)
+            add(cell, best_k, cell)
         # The first minimum in the order diag, up, left: diag unless ne,
         # else left if lt, else up. ne is diag != min(diag, up, left),
         # which is diag != du or lt. Entry k * L + c of each operand
@@ -296,7 +299,10 @@ def dtw_exact(a, b) -> DTWResult:
 
 
 def fastdtw(a, b, radius: int = 1) -> DTWResult:
-    """Multiresolution DTW; distance is an upper bound on the exact one."""
+    """Multiresolution DTW; distance is an upper bound on the exact one.
+    radius is a non-negative integer (a Python or numpy int, not a bool)."""
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Integral):
+        raise ValueError(f"radius must be an integer, got {radius!r}")
     if radius < 0:
         raise ValueError("radius must be non-negative")
     a = _as_float_array(a, "a").tolist()

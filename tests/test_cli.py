@@ -712,6 +712,15 @@ REFUSALS = {
         "train-all", "--out-model {w}/good.txt/run", 2, "--out-model"),
     "train all-variants losses under file": (
         "train-all", "--out-losses {w}/good.txt/run", 2, "--out-losses"),
+    "train model under losses": ("train", "--out-losses {w}/l2 "
+                                 "--out-model {w}/l2/m.npz", 2,
+                                 "--out-model is under --out-losses"),
+    "train losses under model": ("train", "--out-model {w}/m "
+                                 "--out-losses {w}/m/l.csv", 2,
+                                 "--out-losses is under --out-model"),
+    "train all-variants losses under model": (
+        "train-all", "--out-losses {w}/run_gru_tanh.npz/l", 2,
+        "--out-losses is under --out-model"),
     "synth out dir": ("synth", "--out {w}/adir", 2, "--out"),
     "synth out under file": ("synth", "--out {w}/good.txt/x.jsonl", 2,
                              "--out"),

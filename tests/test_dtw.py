@@ -297,6 +297,19 @@ class TestFastDTW:
         with pytest.raises(ValueError):
             fastdtw([1.0], [1.0], -1)
 
+    @pytest.mark.parametrize("radius", [1.5, 1.0, True, np.float64(2.0)],
+                             ids=repr)
+    def test_non_integer_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            fastdtw([1.0, 2.0], [1.0], radius)
+        with pytest.raises(ValueError, match="radius"):
+            score_testset([([1.0, 2.0], [1.0])], radius)
+
+    @pytest.mark.parametrize("radius", [np.int64(2), np.uint8(2)], ids=repr)
+    def test_numpy_integer_radius_accepted(self, radius):
+        a, b = [0.0, 1.0, 3.0, 2.0, 5.0], [0.5, 2.0, 2.5, 4.0]
+        assert fastdtw(a, b, radius) == fastdtw(a, b, 2)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fastdtw([1.0], [], 1)

@@ -16,7 +16,7 @@ from pournet.gradcheck import (check_network_gradients,
                                full_scale_gradient_errors, max_relative_error,
                                random_batch)
 from pournet.network import (CellKind, ForwardCache, NetworkConfig,
-                             NetworkParams, _HEADS, _gru_step, _lstm_step,
+                             NetworkParams, _HEADS, _gru_steps, _lstm_steps,
                              _open_checkpoint,
                              init_params, load_checkpoint, network_backward,
                              network_forward, numerical_gradient,
@@ -213,17 +213,18 @@ class TestSigmoid:
         assert np.all(np.diff(sigmoid(x)) >= 0.0)
 
 
-# The cell tests hand-set the gate pre-activations a = x W + b [G, B, H]
-# and keep U zero, so each gate's value is known. As in _forward_layer,
+# The cell tests run one step: they hand-set the gate pre-activations
+# a = x W + b [G, B, H], passed as a one-step sequence a[None], and keep U
+# zero, so each gate's value is known. As in _forward_layer,
 # the sigmoid gates' rows hold half the pre-activation: a row of 5.0 is
 # sigmoid(10).
 
 class TestLSTMCell:
     def test_zero_params_give_zero_state(self):
         h_prev = np.random.default_rng(0).standard_normal((2, 4))
-        h, c = _lstm_step(np.zeros((4, 4, 4)), np.zeros((4, 2, 4)), h_prev,
-                          np.zeros((2, 4)), np.empty((2, 4)), np.empty((2, 4)),
-                          np.empty((2, 4)))
+        h, c = _lstm_steps(np.zeros((4, 4, 4)), np.zeros((1, 4, 2, 4)),
+                           h_prev, np.zeros((2, 4)), np.empty((1, 2, 4)),
+                           np.empty((1, 2, 4)), np.empty((1, 2, 4)))
         assert np.all(h == 0.0) and np.all(c == 0.0)
 
     def test_forget_open_input_shut_preserves_cell(self):
@@ -231,8 +232,9 @@ class TestLSTMCell:
         a = rng.standard_normal((4, 5, 4))
         a[LSTM_F], a[LSTM_I] = 5.0, -5.0
         c_prev = rng.uniform(-1.0, 1.0, size=(5, 4))
-        _, c = _lstm_step(np.zeros((4, 4, 4)), a, np.zeros((5, 4)), c_prev,
-                          np.empty((5, 4)), np.empty((5, 4)), np.empty((5, 4)))
+        _, c = _lstm_steps(np.zeros((4, 4, 4)), a[None], np.zeros((5, 4)),
+                           c_prev, np.empty((1, 5, 4)), np.empty((1, 5, 4)),
+                           np.empty((1, 5, 4)))
         assert np.max(np.abs(c - c_prev)) < 1e-4
 
     def test_gate_ranges(self):
@@ -250,13 +252,13 @@ class TestLSTMCell:
 
 class TestGRUCell:
     def test_zero_params_halve_ones(self):
-        h = _gru_step(np.zeros((3, 4, 4)), np.zeros((3, 2, 4)), np.ones((2, 4)),
-                      np.empty((2, 4)))
+        h = _gru_steps(np.zeros((3, 4, 4)), np.zeros((1, 3, 2, 4)),
+                       np.ones((2, 4)), np.empty((1, 2, 4)))
         assert np.all(h == 0.5)
 
     def test_zero_params_zero_state(self):
-        h = _gru_step(np.zeros((3, 4, 4)), np.zeros((3, 2, 4)),
-                      np.zeros((2, 4)), np.empty((2, 4)))
+        h = _gru_steps(np.zeros((3, 4, 4)), np.zeros((1, 3, 2, 4)),
+                       np.zeros((2, 4)), np.empty((1, 2, 4)))
         assert np.all(h == 0.0)
 
     def test_open_update_gate_preserves_state(self):
@@ -264,7 +266,8 @@ class TestGRUCell:
         a = rng.standard_normal((3, 5, 4))
         a[GRU_Z] = 5.0
         h_prev = rng.uniform(-1.0, 1.0, size=(5, 4))
-        h = _gru_step(np.zeros((3, 4, 4)), a, h_prev, np.empty((5, 4)))
+        h = _gru_steps(np.zeros((3, 4, 4)), a[None], h_prev,
+                       np.empty((1, 5, 4)))
         assert np.max(np.abs(h - h_prev)) < 1e-4
 
 
