@@ -14,6 +14,7 @@ Commands mirror the workflow end to end:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import sys
 from pathlib import Path
@@ -371,8 +372,24 @@ def _cmd_dtw(args) -> int:
     return 0
 
 
+def _keep_heap_mapped() -> None:
+    """Keep freed heap memory mapped on glibc, so that each training
+    batch reuses the pages the last one freed instead of faulting in
+    pages the allocator trimmed. Does nothing without glibc's mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, its 64-bit maximum
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def run(argv) -> int:
-    """Parse and dispatch; returns the process exit code."""
+    """Parse and dispatch; returns the process exit code. Sets the
+    process's allocator first (see _keep_heap_mapped)."""
+    _keep_heap_mapped()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

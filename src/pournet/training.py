@@ -130,6 +130,7 @@ def train(dataset, config: TrainConfig):
                 adam, params = adam_step(adam, params, grads)
             except NonFiniteGradientError as exc:
                 raise TrainingDivergedError(epoch, f"{exc} in epoch {epoch}") from exc
+            del cache, grads  # the next forward reuses their memory (see cli.run)
             n_real = float(mask.sum())
             weighted_sum += loss * n_real
             weight += n_real

@@ -1,5 +1,7 @@
 """Training loop: protocol, determinism, prediction and exports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,21 @@ class TestTrain:
                                      rng=np.random.default_rng(0))
         p_eval, _ = network_forward(params, net, batch, mode="eval")
         assert np.array_equal(p_train, p_eval)
+
+    def test_frees_each_batch_before_the_next_forward(self):
+        """The default LSTM stack on 200 sequences for one epoch peaks at
+        about 12.2 MB when each batch's forward cache and gradients are
+        freed before the next forward, and at about 15.0 MB when they
+        stay alive through it; the bound lies between the two."""
+        dataset = generate_dataset(SynthParams(num_sequences=200, seed=0))
+        net = NetworkConfig(cell_kind="lstm", output_activation="sigmoid")
+        tracemalloc.start()
+        try:
+            train(dataset, TrainConfig(network=net, epochs=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestTrainConfig:
