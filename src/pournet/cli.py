@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import math
+import os
 import sys
 from pathlib import Path
 from statistics import fmean, median
@@ -39,25 +40,47 @@ class UsageError(ValueError):
     """A refused flag or flag combination; maps to exit code 2."""
 
 
-def _ensure_parent(path) -> str:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    return str(path)
-
-
-def _check_output(flag, path, directory=False) -> None:
-    """Raise UsageError naming flag unless path can be written as a file
-    (made as a directory when `directory`) without replacing anything:
-    an existing path must be of that kind, and the nearest existing
-    ancestor of a new one must be a directory. Nothing is created."""
-    path = Path(path)
-    if path.exists():
-        if path.is_dir() != directory:
+def _check_outputs(outputs, data) -> None:
+    """Raise UsageError naming a flag unless each (flag, path, directory)
+    output is an existing path of its kind, or a new one whose nearest
+    existing ancestor is a directory reached with no broken symlink;
+    no two outputs are one file or one under the other, and none is
+    the data file. Nothing is created."""
+    resolved = [Path(os.path.realpath(path)) for _, path, _ in outputs]
+    for i, (flag, path, directory) in enumerate(outputs):
+        for j, (other_flag, _, _) in enumerate(outputs):
+            if i != j and resolved[j] == resolved[i]:
+                raise UsageError(f"{flag} and {other_flag} are one file: {path}")
+            if resolved[j] in resolved[i].parents:
+                raise UsageError(f"{flag} is under {other_flag}: {path}")
+        path = Path(path)
+        found = next(p for p in (path, *path.parents) if os.path.lexists(p))
+        if not found.exists():  # dangling, or a loop
+            raise UsageError(f"{flag} meets a broken symlink: {found}")
+        if found == path and path.is_dir() != directory:
             kind = "not a directory" if directory else "a directory"
             raise UsageError(f"{flag} is {kind}: {path}")
-        return
-    ancestor = next(parent for parent in path.parents if parent.exists())
-    if not ancestor.is_dir():
-        raise UsageError(f"{flag} is under a non-directory: {ancestor}")
+        if found != path and not found.is_dir():
+            raise UsageError(f"{flag} is under a non-directory: {found}")
+        if data is not None and resolved[i] == Path(os.path.realpath(data)):
+            raise UsageError(f"an output path is the --data file: {data}")
+
+
+def _write(path, save) -> None:
+    """Write the file output at path whole: save(name) writes a new file
+    beside path's resolved target, so a symlink keeps its link, and that
+    file then replaces the target. On any error the new file is removed
+    and the target is left as it was. Makes the target's directory."""
+    target = Path(os.path.realpath(path))
+    target.parent.mkdir(parents=True, exist_ok=True)
+    temp = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
+    open(temp, "x").close()  # a new name, with the mode open gives
+    try:
+        save(temp)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink()
+        raise
 
 
 def _bounded(parse, low, strict=False):
@@ -103,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=_bounded(int, 5), default=50,
                    help="longest sequence length (default: 50)")
     p.add_argument("--out", required=True, help="output dataset file")
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth,
+                   outputs=lambda args: [("--out", args.out, False)])
 
     p = sub.add_parser("train", help="train one variant or all six")
     p.add_argument("--data", required=True, help="training dataset file")
@@ -127,13 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="let padded timesteps count toward the loss")
     p.add_argument("--keep-best-val", action="store_true",
                    help="return the best-validation epoch instead of the last")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, outputs=lambda args: [
+        (flag, path, False) for *_, model, losses in _variants(args)
+        for flag, path in (("--out-model", model), ("--out-losses", losses))])
 
     p = sub.add_parser("predict", help="emit per-sequence prediction files")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="dataset file to predict")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(func=_cmd_predict,
+                   outputs=lambda args: [("--out", args.out, True)])
 
     p = sub.add_parser("eval-dtw", help="score predictions with FastDTW")
     p.add_argument("--model", required=True, help="checkpoint path")
@@ -141,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=_bounded(int, 0), default=1,
                    help="FastDTW window radius (default: 1)")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_eval_dtw)
+    p.set_defaults(func=_cmd_eval_dtw,
+                   outputs=lambda args: [("--out", args.out, True)])
 
     p = sub.add_parser("gradcheck",
                        help="verify BPTT against complex-step derivatives")
@@ -152,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"complex step h (default: {COMPLEX_STEP:g})")
     p.add_argument("--tol", type=_bounded(float, 0), default=1e-4,
                    help="max relative error allowed (default: 1e-4)")
-    p.set_defaults(func=_cmd_gradcheck)
+    p.set_defaults(func=_cmd_gradcheck, outputs=lambda args: [])
 
     p = sub.add_parser("dtw", help="distance between two curve files")
     p.add_argument("--a", required=True, help="text file, one number per line")
@@ -162,57 +190,40 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full dynamic program instead of FastDTW")
     group.add_argument("--radius", type=_bounded(int, 0), default=1,
                        help="FastDTW window radius (default: 1)")
-    p.set_defaults(func=_cmd_dtw)
+    p.set_defaults(func=_cmd_dtw, outputs=lambda args: [])
     return parser
 
 
 def _cmd_synth(args) -> int:
     if args.t_min > args.t_max:
         raise UsageError(f"--t-min {args.t_min} is above --t-max {args.t_max}")
-    _check_output("--out", args.out)
     params = SynthParams(num_sequences=args.n, seed=args.seed,
                          noise_std=args.noise,
                          length_range=(args.t_min, args.t_max))
     seqs = generate_dataset(params)
-    save_dataset(seqs, _ensure_parent(args.out))
+    _write(args.out, lambda name: save_dataset(seqs, name))
     print(f"wrote {len(seqs)} sequences to {args.out}")
     return 0
 
 
-def _variant_paths(base: str, suffix: str, cell: str, head: str) -> str:
-    return f"{base}_{cell}_{head}{suffix}"
-
-
-def _cmd_train(args) -> int:
+def _variants(args) -> list:
+    """(cell, head, checkpoint path, loss-curve path) of each variant
+    train writes; raises UsageError for a --cell/--head misuse."""
     if args.all_variants:
         if args.cell or args.head:
             raise UsageError("--cell and --head cannot be combined with "
                              "--all-variants")
-        variants = [(c, h, _variant_paths(args.out_model, ".npz", c, h),
-                     _variant_paths(args.out_losses, ".csv", c, h))
-                    for c in CELLS for h in HEADS]
-    else:
-        if not (args.cell and args.head):
-            raise UsageError("--cell and --head are required "
-                             "unless --all-variants is set")
-        variants = [(args.cell, args.head, args.out_model, args.out_losses)]
-    data = Path(args.data).resolve()
-    outputs = [(flag, path, Path(path).resolve())
-               for *_, model_path, losses_path in variants
-               for flag, path in (("--out-model", model_path),
-                                  ("--out-losses", losses_path))]
-    for flag, path, resolved in outputs:
-        for other_flag, _, other in outputs:
-            if other == resolved and other_flag != flag:
-                raise UsageError(f"--out-model and --out-losses are one "
-                                 f"file: {path}")
-            if other in resolved.parents:
-                raise UsageError(f"{flag} is under {other_flag}: {path}")
-        if resolved == data:
-            raise UsageError(f"an output path is the --data file: {args.data}")
-        _check_output(flag, path)
+        return [(c, h, f"{args.out_model}_{c}_{h}.npz",
+                 f"{args.out_losses}_{c}_{h}.csv") for c in CELLS for h in HEADS]
+    if not (args.cell and args.head):
+        raise UsageError("--cell and --head are required "
+                         "unless --all-variants is set")
+    return [(args.cell, args.head, args.out_model, args.out_losses)]
+
+
+def _cmd_train(args) -> int:
     dataset = load_dataset(args.data)
-    for cell, head, model_path, losses_path in variants:
+    for cell, head, model_path, losses_path in _variants(args):
         net = NetworkConfig(cell_kind=CellKind(cell), output_activation=head)
         config = TrainConfig(network=net, epochs=args.epochs, lr=args.lr,
                              batch_size=args.batch_size, seed=args.seed,
@@ -223,8 +234,8 @@ def _cmd_train(args) -> int:
         except (ValueError, TrainingDivergedError) as exc:
             variant = f"{cell}-{head}: " if args.all_variants else ""
             raise ValueError(f"{args.data}: {variant}{exc}") from exc
-        save_checkpoint(_ensure_parent(model_path), params, net, norm)
-        export_loss_curve(report, _ensure_parent(losses_path))
+        _write(model_path, lambda name: save_checkpoint(name, params, net, norm))
+        _write(losses_path, lambda name: export_loss_curve(report, name))
         print(f"{cell}-{head}: train {report.train_losses[-1]:.6g} "
               f"val {report.val_losses[-1]:.6g} "
               f"test {report.final_test_loss:.6g} -> {model_path}")
@@ -264,7 +275,6 @@ def _finite_predictions(model_path, params, net, norm, seqs) -> list:
 
 
 def _cmd_predict(args) -> int:
-    _check_output("--out", args.out, directory=True)
     params, net, norm = load_checkpoint(args.model)
     seqs = _load_output_dataset(args.data)
     curves = _finite_predictions(args.model, params, net, norm, seqs)
@@ -277,7 +287,6 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval_dtw(args) -> int:
-    _check_output("--out", args.out, directory=True)
     params, net, norm = load_checkpoint(args.model)
     seqs = _load_output_dataset(args.data)
     if not seqs:
@@ -392,6 +401,7 @@ def run(argv) -> int:
     _keep_heap_mapped()
     try:
         args = build_parser().parse_args(argv)
+        _check_outputs(args.outputs(args), getattr(args, "data", None))
         return args.func(args)
     except SystemExit as exc:  # argparse's --help
         return 0 if exc.code is None else int(exc.code)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -757,6 +758,16 @@ REFUSALS = {
     "train all-variants losses under model": (
         "train-all", "--out-losses {w}/run_gru_tanh.npz/l", 2,
         "--out-losses is under --out-model"),
+    "train model dangling": ("train", "--out-model {w}/dangling", 2,
+                             "error: --out-model "),
+    "train model under loop": ("train", "--out-model {w}/loop/m.npz", 2,
+                               "error: --out-model "),
+    "train all-variants losses under loop": (
+        "train-all", "--out-losses {w}/loop/run", 2, "error: --out-losses "),
+    "synth out under loop": ("synth", "--out {w}/loop/x.jsonl", 2,
+                             "error: --out "),
+    "predict out dangling": ("predict", "--out {w}/dangling", 2,
+                             "error: --out "),
     "synth out dir": ("synth", "--out {w}/adir", 2, "--out"),
     "synth out under file": ("synth", "--out {w}/good.txt/x.jsonl", 2,
                              "--out"),
@@ -805,6 +816,8 @@ def _work_dir(work: Path) -> Path:
     (work / "bad.jsonl").write_text("{not json\n")
     (work / "bad.npz").write_bytes(b"not a zip archive")
     (work / "empty.jsonl").write_text("")
+    (work / "dangling").symlink_to(work / "nowhere" / "x")
+    (work / "loop").symlink_to(work / "loop")
     return work
 
 
@@ -883,3 +896,76 @@ class TestRefusalContract:
             argv = [token.format(**names) for token in BASE[command].split()]
             self._assert_refused([*argv, f"{flag}={value}"], work, 2,
                                  f"error: argument {flag}: ")
+
+
+def _open_failing_part_way(file, mode="r", *args, **kwargs):
+    """open, except that a file opened for writing writes half of its
+    first write and then raises ENOSPC, as a full disk would."""
+    fh = open(file, mode, *args, **kwargs)
+    if "w" in mode:
+        write = fh.write
+
+        def write_half(data):
+            write(data[:len(data) // 2])
+            fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        fh.write = write_half
+    return fh
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("module, flag", [("data", "--out"),
+                                              ("network", "--out-model"),
+                                              ("training", "--out-losses")])
+    def test_failed_write_keeps_the_old_file(self, module, flag, data_file,
+                                             tmp_path, capsys):
+        """The module writing the output fails part-way through it."""
+        outputs = ({"--out": tmp_path / "keep.jsonl"} if flag == "--out" else
+                   {"--out-model": tmp_path / "keep.npz",
+                    "--out-losses": tmp_path / "keep.csv"})
+        argv = (["synth", "--n", "12"] if flag == "--out" else
+                ["train", "--data", str(data_file), "--cell", "gru",
+                 "--head", "tanh", "--epochs", "1"])
+        for out_flag, path in outputs.items():
+            path.write_bytes(b"old bytes\n")
+            argv += [out_flag, str(path)]
+        with mock.patch(f"pournet.{module}.open", _open_failing_part_way,
+                        create=True):
+            assert run(argv) == 1
+        assert capsys.readouterr().err == ("error: [Errno 28] "
+                                           "No space left on device\n")
+        assert outputs[flag].read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            p.name for p in outputs.values())
+
+    def test_replaced_output_keeps_its_link_and_a_plain_mode(self, tmp_path):
+        target = tmp_path / "real" / "data.jsonl"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        (tmp_path / "link.jsonl").symlink_to(target)
+        assert run(["synth", "--n", "12", "--out",
+                    str(tmp_path / "link.jsonl")]) == 0
+        assert (tmp_path / "link.jsonl").is_symlink()
+        assert len(load_dataset(target)) == 12
+        plain = tmp_path / "plain"
+        open(plain, "w").close()
+        assert target.stat().st_mode == plain.stat().st_mode
+
+    @pytest.mark.parametrize("command", ["synth", "train", "train-all",
+                                         "predict", "eval-dtw"])
+    def test_creates_only_its_declared_outputs(self, command, data_file,
+                                               model_file, tmp_path):
+        """What a command creates is what its declaration lists, plus the
+        parents it makes, so an undeclared output cannot slip past the
+        checks in run."""
+        argv = BASE[command].format(w=tmp_path / "a" / "b", data=data_file,
+                                    model=model_file).split()
+        args = pournet.cli.build_parser().parse_args(argv)
+        declared = {Path(path) for _, path, _ in args.outputs(args)}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0
+        parents = {parent for path in declared for parent in path.parents
+                   if tmp_path in parent.parents}
+        created = {path for path in tmp_path.rglob("*")
+                   if not declared.intersection(path.parents)}
+        assert created == declared | parents
