@@ -67,7 +67,7 @@ def check_network_gradients(cell_kind, output_activation: str, seed: int,
     params = init_params(config, seed)
     worst = 0.0
     for b in (batch, padded):
-        preds, cache = network_forward(params, config, b, mode="eval")
+        preds, cache = network_forward(params, config, b, mode="train")
         _, dpred = mse_loss(preds, b.targets, b.mask)
         analytic = network_backward(params, config, cache, dpred, b.mask)
         numeric = numerical_gradient(

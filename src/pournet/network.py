@@ -44,7 +44,11 @@ a power of two commutes with rounding (subnormals aside), so the
 activations are the same bits as sigmoid() of the unscaled
 pre-activation, for complex-step probes too. BPTT differentiates the
 unscaled parameters. An LSTM layer also keeps tanh(c) for every step
-(the cache's "tc"), which BPTT reads instead of recomputing it.
+(its record's "tc"), which BPTT reads instead of recomputing it.
+
+Only a train-mode forward keeps a ForwardCache, one record per layer. Eval
+mode keeps none: a layer's buffers are freed once the next layer has its
+input, so only one layer's are alive at a time.
 
 LSTM cell, column blocks (i, f, o | g):
     i = sigmoid(x W_i + h_prev U_i + b_i)      input gate
@@ -184,18 +188,17 @@ class NetworkParams:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs from one forward call.
+    """Everything the backward pass needs from one train-mode forward call.
 
-    inputs holds num_layers + 1 arrays: entry i is what layer i + 1 reads,
-    and the last is what the head reads, after any dropout on the top layer.
+    layers holds one record per layer, bottom up: "act", its gate
+    activations [T, G, B, H]; for LSTM "c" and "tc" = tanh(c) [T, B, H];
+    "x", what the layer reads; "h", its output [T, B, H]; and "mask", the
+    dropout mask after it [T, B, H] or None.
     """
 
     cell_kind: CellKind
-    inputs: list  # [T, B, width] each
-    gates: list  # per layer, {"act": [T, G, B, H] activations,
-    #              LSTM "c" and "tc" = tanh(c): [T, B, H]}
-    hidden: list  # per layer, [T, B, hidden]
-    dropout_masks: dict  # 1-based layer index -> mask [T, B, hidden]
+    layers: list
+    head_input: np.ndarray  # [T, B, width], after any dropout on the top layer
     predictions: np.ndarray  # [T, B]
 
 
@@ -319,7 +322,7 @@ def _gru_steps(u3, act, h, h_seq):
 # network forward
 
 def _forward_layer(kind: CellKind, p: LayerParams, x_seq, t_real):
-    """Run one layer over [T, B, in]; returns (h_seq, cache entry).
+    """Run one layer over [T, B, in]; returns its record (see ForwardCache).
 
     x W + b, with the sigmoid gates' columns halved, is one GEMM over the
     steps before t_real and one over the all-padding steps after it; the
@@ -344,15 +347,15 @@ def _forward_layer(kind: CellKind, p: LayerParams, x_seq, t_real):
     u3 = np.ascontiguousarray(_by_gate(p.u * half, hidden))
     h_seq = np.empty((t_max, batch, hidden), dtype)
     h = np.zeros((batch, hidden), dtype)
-    store = {"act": act}
+    record = {"act": act, "x": x_seq, "h": h_seq, "mask": None}
     if kind is CellKind.LSTM:
-        c_seq = store["c"] = np.empty((t_max, batch, hidden), dtype)
-        tc_seq = store["tc"] = np.empty((t_max, batch, hidden), dtype)
+        c_seq = record["c"] = np.empty((t_max, batch, hidden), dtype)
+        tc_seq = record["tc"] = np.empty((t_max, batch, hidden), dtype)
         _lstm_steps(u3, act, h, np.zeros((batch, hidden), dtype), h_seq,
                     c_seq, tc_seq)
     else:
         _gru_steps(u3, act, h, h_seq)
-    return h_seq, store
+    return record
 
 
 def network_forward(params: NetworkParams, config: NetworkConfig, batch,
@@ -362,8 +365,10 @@ def network_forward(params: NetworkParams, config: NetworkConfig, batch,
     Train mode samples a fresh inverted-dropout mask per element per
     timestep after each configured layer; each dropout site draws from
     its own child rng stream so masks on real timesteps do not depend on
-    how much padding the batch carries. Eval mode applies no dropout and
-    is fully deterministic.
+    how much padding the batch carries. It keeps every layer's record for
+    network_backward. Eval mode applies no dropout, is fully deterministic
+    and returns None for the cache: a layer's buffers are freed once the
+    next layer has its input, so only one layer's are alive at a time.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -382,26 +387,22 @@ def network_forward(params: NetworkParams, config: NetworkConfig, batch,
 
     x_seq = np.asarray(batch.inputs, dtype=np.float64)
     t_real = int(np.max(batch.lengths))
-    inputs, gates, hidden = [x_seq], [], []
-    dropout_masks = {}
+    layers = []
     for idx, layer in enumerate(params.layers, start=1):
-        h_seq, store = _forward_layer(config.cell_kind, layer, x_seq, t_real)
-        gates.append(store)
-        hidden.append(h_seq)
-        x_seq = h_seq
+        record = _forward_layer(config.cell_kind, layer, x_seq, t_real)
+        x_seq = record["h"]
         if idx in streams:
-            keep = streams[idx].random(h_seq.shape) >= config.dropout_rate
-            mask = keep.astype(np.float64) / (1.0 - config.dropout_rate)
-            dropout_masks[idx] = mask
-            x_seq = h_seq * mask
-        inputs.append(x_seq)
+            keep = streams[idx].random(x_seq.shape) >= config.dropout_rate
+            record["mask"] = keep.astype(np.float64) / (1.0 - config.dropout_rate)
+            x_seq = x_seq * record["mask"]
+        if mode == "train":
+            layers.append(record)
+        del record  # in eval mode, frees act, c and tc before the next layer
 
     pre = np.squeeze(x_seq @ params.w_out.T, axis=2) + params.b_out[0]
     predictions = _HEADS[config.output_activation][0](pre)
-    cache = ForwardCache(cell_kind=config.cell_kind, inputs=inputs,
-                         gates=gates, hidden=hidden,
-                         dropout_masks=dropout_masks, predictions=predictions)
-    return predictions, cache
+    return predictions, (ForwardCache(config.cell_kind, layers, x_seq, predictions)
+                         if mode == "train" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +419,7 @@ def network_backward(params: NetworkParams, config: NetworkConfig,
     validate_params(params, config)
     if cache.cell_kind is not config.cell_kind:
         raise ValueError("cache was produced with a different cell kind")
-    if len(cache.hidden) != config.num_layers:
+    if len(cache.layers) != config.num_layers:
         raise ValueError("cache layer count does not match the configuration")
     dloss_dpred = np.asarray(dloss_dpred, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -432,18 +433,17 @@ def network_backward(params: NetworkParams, config: NetworkConfig,
 
     dpred = dloss_dpred[:t_real] * mask[:t_real]
     dz = _HEADS[config.output_activation][1](dpred, cache.predictions[:t_real])
-    head_input = cache.inputs[-1][:t_real]
+    head_input = cache.head_input[:t_real]
     grads.w_out[...] = dz.reshape(1, -1) @ head_input.reshape(-1, head_input.shape[2])
     grads.b_out[0] = np.sum(dz)
     dh_above = dz[:, :, None] * params.w_out[0]
 
     bptt = _bptt_lstm if config.cell_kind is CellKind.LSTM else _bptt_gru
-    for idx in range(config.num_layers, 0, -1):
-        if idx in cache.dropout_masks:
-            dh_above = dh_above * cache.dropout_masks[idx][:t_real]
-        dh_above = bptt(params.layers[idx - 1], grads.layers[idx - 1],
-                        cache.gates[idx - 1], cache.inputs[idx - 1][:t_real],
-                        cache.hidden[idx - 1][:t_real], dh_above, need_dx=idx > 1)
+    for idx, record in reversed(list(enumerate(cache.layers))):
+        if record["mask"] is not None:
+            dh_above = dh_above * record["mask"][:t_real]
+        dh_above = bptt(params.layers[idx], grads.layers[idx], record,
+                        dh_above, need_dx=idx > 0)
     return grads
 
 
@@ -467,13 +467,13 @@ def _fused_rows(delta):
     return delta.transpose(0, 2, 1, 3).reshape(-1, gates * hidden)
 
 
-def _bptt_lstm(p: LayerParams, grads, store, x_seq, h_seq, dh_seq, need_dx):
+def _bptt_lstm(p: LayerParams, grads, record, dh_seq, need_dx):
     """BPTT through one LSTM layer over the T steps of dh_seq; writes the
     layer's gradients into grads and returns the input gradient or None."""
     t_real, batch, n = dh_seq.shape
-    act = store["act"][:t_real]
+    act = record["act"][:t_real]
     i, f, o, g = act[:, 0], act[:, 1], act[:, 2], act[:, 3]
-    c_seq, tc = store["c"][:t_real], store["tc"][:t_real]
+    c_seq, tc = record["c"][:t_real], record["tc"][:t_real]
     # delta holds each gate's local derivative until step t scales it by
     # dc (i, f, g) or dh (o)
     delta = np.empty_like(act)
@@ -501,17 +501,17 @@ def _bptt_lstm(p: LayerParams, grads, store, x_seq, h_seq, dh_seq, need_dx):
         matmul(d, u3t, dh_by_gate)
         reduce(dh_by_gate, 0, out=dh_rec)
     d2 = _fused_rows(delta)
-    grads.u[...] = h_seq[:-1].reshape(-1, n).T @ d2[batch:]
-    return _layer_grads(p, grads, x_seq, d2, need_dx)
+    grads.u[...] = record["h"][:t_real - 1].reshape(-1, n).T @ d2[batch:]
+    return _layer_grads(p, grads, record["x"][:t_real], d2, need_dx)
 
 
-def _bptt_gru(p: LayerParams, grads, store, x_seq, h_seq, dh_seq, need_dx):
+def _bptt_gru(p: LayerParams, grads, record, dh_seq, need_dx):
     """BPTT through one GRU layer over the T steps of dh_seq; writes the
     layer's gradients into grads and returns the input gradient or None."""
     t_real, batch, n = dh_seq.shape
-    act = store["act"][:t_real]
+    act = record["act"][:t_real]
     z, r, hc = act[:, 0], act[:, 1], act[:, 2]
-    h_prev = _previous(h_seq)
+    h_prev = _previous(record["h"][:t_real])
     # local derivatives until step t scales them by dh (z, h) or d(r*h) (r)
     delta = np.empty_like(act)
     one_minus_z, rh = 1.0 - z, r * h_prev
@@ -542,7 +542,7 @@ def _bptt_gru(p: LayerParams, grads, store, x_seq, h_seq, dh_seq, need_dx):
     d2 = _fused_rows(delta)
     grads.u[:, :2 * n] = h_prev.reshape(-1, n).T @ d2[:, :2 * n]
     grads.u[:, 2 * n:] = rh.reshape(-1, n).T @ d2[:, 2 * n:]
-    return _layer_grads(p, grads, x_seq, d2, need_dx)
+    return _layer_grads(p, grads, record["x"][:t_real], d2, need_dx)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .network import (NetworkConfig, NetworkParams, network_backward,
 from .optim import NonFiniteGradientError, adam_step, init_adam, mse_loss
 
 # Sequences per eval-mode forward pass in predict. Wider chunks are no
-# faster on 20-50 step sequences, but hold a larger forward cache.
+# faster on 20-50 step sequences, but hold wider buffers for each layer.
 PREDICT_CHUNK = 32
 
 

@@ -162,7 +162,7 @@ class TestParamArena:
                                output_activation="tanh", input_width=9)
         params = init_params(config, 31)
         batch = random_batch(np.random.default_rng(31), 5, 3, 9)
-        preds, cache = network_forward(params, config, batch)
+        preds, cache = network_forward(params, config, batch, mode="train")
         _, dpred = mse_loss(preds, batch.targets, batch.mask)
         grads = network_backward(params, config, cache, dpred, batch.mask)
         path = tmp_path / "model.npz"
@@ -243,8 +243,8 @@ class TestLSTMCell:
                                output_activation="linear", input_width=3)
         params = init_params(config, 5)
         batch = random_batch(np.random.default_rng(5), 6, 3, 3)
-        _, cache = network_forward(params, config, batch, mode="eval")
-        act = cache.gates[0]["act"]
+        _, cache = network_forward(params, config, batch, mode="train")
+        act = cache.layers[0]["act"]
         for k in (LSTM_I, LSTM_F, LSTM_O):
             assert np.all(act[:, k] > 0.0) and np.all(act[:, k] < 1.0)
         assert np.all(act[:, LSTM_G] > -1.0) and np.all(act[:, LSTM_G] < 1.0)
@@ -322,7 +322,7 @@ class TestNetworkForward:
                 lengths=batch.lengths)
             runs = []
             for b in (batch, padded):
-                preds, cache = network_forward(params, config, b, mode="eval")
+                preds, cache = network_forward(params, config, b, mode="train")
                 _, dpred = mse_loss(preds, b.targets, b.mask)
                 runs.append((preds[:1], network_backward(params, config, cache,
                                                          dpred, b.mask)))
@@ -346,13 +346,15 @@ class TestNetworkForward:
         for _, leaf in params.leaves:
             leaf[...] = rng.normal(scale=0.7, size=leaf.shape)
         batch = random_batch(rng, 9, 4, 4, lengths=np.array([7, 2, 5, 1]))
-        preds, cache = network_forward(params, config, batch, mode="eval")
+        preds, _ = network_forward(params, config, batch, mode="eval")
+        _, cache = network_forward(params, dataclasses.replace(
+            config, dropout_rate=0.0), batch, mode="train")
         expected, hidden = textbook_stack_forward(
             cell, [(p.w, p.u, p.b) for p in params.layers], params.w_out,
             params.b_out, head, batch.inputs)
         assert np.max(np.abs(preds - expected)) <= 1e-12
-        for got, want in zip(cache.hidden, hidden, strict=True):
-            assert np.max(np.abs(got - want)) <= 1e-12
+        for record, want in zip(cache.layers, hidden, strict=True):
+            assert np.max(np.abs(record["h"] - want)) <= 1e-12
 
     @pytest.mark.parametrize("cell,gates", [("lstm", 4), ("gru", 3)])
     def test_gate_buffers_are_time_major(self, cell, gates):
@@ -363,8 +365,8 @@ class TestNetworkForward:
         params = init_params(config, 6)
         batch = random_batch(np.random.default_rng(6), 7, 2, 4,
                              lengths=np.array([6, 3]))
-        _, cache = network_forward(params, config, batch, mode="eval")
-        for store, hidden in zip(cache.gates, config.layer_widths):
+        _, cache = network_forward(params, config, batch, mode="train")
+        for store, hidden in zip(cache.layers, config.layer_widths):
             act = store["act"]
             assert act.shape == (7, gates, 2, hidden)
             assert act.flags.c_contiguous
@@ -383,7 +385,7 @@ class TestNetworkForward:
         batch = random_batch(rng, 12, 5, 9, lengths=np.array([9, 3, 12, 7, 1]))
         _, cache = network_forward(params, config, batch, mode="train",
                                    rng=np.random.default_rng(1))
-        for store in cache.gates:
+        for store in cache.layers:
             assert np.array_equal(store["tc"], np.tanh(store["c"]))
 
     def test_train_mode_deterministic_under_fixed_rng(self):
@@ -445,8 +447,8 @@ class TestDropout:
         batch = random_batch(np.random.default_rng(6), 6, 3, 3)
         _, cache = network_forward(params, config, batch, mode="train",
                                    rng=np.random.default_rng(0))
-        for mask in cache.dropout_masks.values():
-            assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
+        for record in cache.layers:
+            assert set(np.unique(record["mask"])) <= {0.0, 1.0 / 0.75}
 
     def test_eval_has_no_masks(self):
         config = NetworkConfig(cell_kind="gru", layer_widths=(4,),
@@ -455,12 +457,14 @@ class TestDropout:
         params = init_params(config, 6)
         batch = random_batch(np.random.default_rng(6), 4, 2, 3)
         _, cache = network_forward(params, config, batch, mode="eval")
-        assert cache.dropout_masks == {}
+        assert cache is None
 
-    def test_rate_zero_train_equals_eval(self):
-        config = NetworkConfig(cell_kind="lstm", layer_widths=(4, 4),
+    @pytest.mark.parametrize("cell", ["lstm", "gru"])
+    @pytest.mark.parametrize("head", ["sigmoid", "linear", "tanh"])
+    def test_rate_zero_train_equals_eval(self, cell, head):
+        config = NetworkConfig(cell_kind=cell, layer_widths=(4, 4),
                                dropout_rate=0.0, dropout_after_layers=(1, 2),
-                               output_activation="sigmoid", input_width=3)
+                               output_activation=head, input_width=3)
         params = init_params(config, 7)
         batch = random_batch(np.random.default_rng(7), 5, 3, 3)
         p_train, _ = network_forward(params, config, batch, mode="train",
@@ -476,8 +480,9 @@ class TestDropout:
                                output_activation="linear", input_width=3)
         params = init_params(config, 8)
         batch = random_batch(np.random.default_rng(8), 2, 1, 3)
-        _, eval_cache = network_forward(params, config, batch, mode="eval")
-        reference = eval_cache.hidden[0]
+        _, eval_cache = network_forward(params, dataclasses.replace(
+            config, dropout_rate=0.0), batch, mode="train")
+        reference = eval_cache.layers[0]["h"]
 
         draws = 10_000
         rng = np.random.default_rng(123)
@@ -485,7 +490,7 @@ class TestDropout:
         for _ in range(draws):
             _, cache = network_forward(params, config, batch, mode="train",
                                        rng=rng)
-            total += cache.inputs[-1]
+            total += cache.head_input
         mean = total / draws
         # with rate 0.5 the mask has unit variance, so se = |h| / sqrt(n)
         se = np.abs(reference) / np.sqrt(draws)
@@ -513,7 +518,7 @@ def dropout_mask_gradient_error(cell, head, seed):
                                rng=np.random.default_rng(99))
 
     preds, cache = forward(params)
-    assert any(np.any(m == 0.0) for m in cache.dropout_masks.values())
+    assert any(np.any(record["mask"] == 0.0) for record in cache.layers)
     _, dpred = mse_loss(preds, batch.targets, batch.mask)
     analytic = network_backward(params, config, cache, dpred, batch.mask)
     numeric = numerical_gradient(
@@ -529,7 +534,7 @@ class TestNetworkBackward:
                                output_activation="tanh", input_width=3)
         params = init_params(config, 9)
         batch = random_batch(np.random.default_rng(9), 5, 3, 3)
-        _, cache = network_forward(params, config, batch, mode="eval")
+        _, cache = network_forward(params, config, batch, mode="train")
         grads = network_backward(params, config, cache,
                                  np.zeros_like(batch.targets), batch.mask)
         assert trees_equal(grads, NetworkParams(params.layout))
@@ -551,7 +556,7 @@ class TestNetworkBackward:
                                output_activation="linear", input_width=3)
         params = init_params(config, 1)
         batch = random_batch(np.random.default_rng(1), 4, 2, 3)
-        _, cache = network_forward(params, config, batch, mode="eval")
+        _, cache = network_forward(params, config, batch, mode="train")
         other = NetworkConfig(cell_kind="lstm", layer_widths=(4,),
                               dropout_rate=0.0, dropout_after_layers=(),
                               output_activation="linear", input_width=3)
@@ -570,17 +575,16 @@ class TestNetworkBackward:
         batch = random_batch(np.random.default_rng(10), 5, 2, 2)
         preds, cache = network_forward(params, config, batch, mode="train",
                                        rng=np.random.default_rng(55))
-        mask = cache.dropout_masks[1]
+        mask = cache.layers[0]["mask"]
         assert np.any(mask == 0.0)
         _, dpred = mse_loss(preds, batch.targets, batch.mask)
         grads = network_backward(params, config, cache, dpred, batch.mask)
 
-        tampered_hidden = [cache.hidden[0].copy(), cache.hidden[1]]
-        tampered_hidden[0][mask == 0.0] += 7.0
+        bottom = dict(cache.layers[0], h=cache.layers[0]["h"].copy())
+        bottom["h"][mask == 0.0] += 7.0
         tampered = ForwardCache(cell_kind=cache.cell_kind,
-                                inputs=cache.inputs,
-                                gates=cache.gates, hidden=tampered_hidden,
-                                dropout_masks=cache.dropout_masks,
+                                layers=[bottom, cache.layers[1]],
+                                head_input=cache.head_input,
                                 predictions=cache.predictions)
         grads2 = network_backward(params, config, tampered, dpred, batch.mask)
         assert trees_equal(grads.layers[1], grads2.layers[1])
@@ -680,7 +684,7 @@ class TestFullScaleGradient:
             return mse_loss(network_forward(p, config, batch)[0],
                             batch.targets, batch.mask)[0]
 
-        preds, cache = network_forward(params, config, batch)
+        preds, cache = network_forward(params, config, batch, mode="train")
         _, dpred = mse_loss(preds, batch.targets, batch.mask)
         grads = network_backward(params, config, cache, dpred, batch.mask)
         direction = np.random.default_rng(3).standard_normal(params.vector.size)

@@ -8,7 +8,8 @@ import pytest
 from pournet.data import (PaddedBatch, fit_normalization, pad_and_batch,
                           save_dataset, split_dataset)
 from pournet import training
-from pournet.network import NetworkConfig, network_backward, network_forward
+from pournet.network import (NetworkConfig, init_params, network_backward,
+                             network_forward)
 from pournet.optim import adam_step, mse_loss
 from pournet.synth import SynthParams, generate_dataset
 from pournet.training import (TrainConfig, TrainingDivergedError, TrainReport,
@@ -33,6 +34,20 @@ def small_config(cell="gru", head="tanh", **kwargs):
                     seed=5)
     defaults.update(kwargs)
     return TrainConfig(**defaults)
+
+
+@pytest.fixture(scope="module")
+def lstm_train_peak():
+    """tracemalloc peak in bytes of one epoch of the default LSTM-sigmoid
+    stack on 200 synthetic sequences."""
+    dataset = generate_dataset(SynthParams(num_sequences=200, seed=0))
+    net = NetworkConfig(cell_kind="lstm", output_activation="sigmoid")
+    tracemalloc.start()
+    try:
+        train(dataset, TrainConfig(network=net, epochs=1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestTrain:
@@ -233,20 +248,19 @@ class TestTrain:
         p_eval, _ = network_forward(params, net, batch, mode="eval")
         assert np.array_equal(p_train, p_eval)
 
-    def test_frees_each_batch_before_the_next_forward(self):
+    def test_frees_each_batch_before_the_next_forward(self, lstm_train_peak):
         """The default LSTM stack on 200 sequences for one epoch peaks at
-        about 12.2 MB when each batch's forward cache and gradients are
+        about 10.1 MB when each batch's forward cache and gradients are
         freed before the next forward, and at about 15.0 MB when they
         stay alive through it; the bound lies between the two."""
-        dataset = generate_dataset(SynthParams(num_sequences=200, seed=0))
-        net = NetworkConfig(cell_kind="lstm", output_activation="sigmoid")
-        tracemalloc.start()
-        try:
-            train(dataset, TrainConfig(network=net, epochs=1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 13.5e6, f"peak {peak / 1e6:.2f} MB"
+        assert lstm_train_peak < 13.5e6, f"peak {lstm_train_peak / 1e6:.2f} MB"
+
+    def test_validation_forward_keeps_no_cache(self, lstm_train_peak):
+        """The same run peaks at about 10.1 MB, in a training step, when the
+        eval-mode validation forward keeps no cache, and at about 12.2 MB,
+        in that forward, when it keeps every layer's; the bound lies
+        between the two."""
+        assert lstm_train_peak < 11e6, f"peak {lstm_train_peak / 1e6:.2f} MB"
 
 
 class TestTrainConfig:
@@ -324,6 +338,23 @@ class TestPredict:
         for seq, curve in zip(shuffled, predict(params, net, norm, shuffled)):
             np.testing.assert_allclose(curve, by_id[seq.id], rtol=0.0,
                                        atol=1e-12)
+
+    def test_eval_forward_keeps_no_cache(self):
+        """The default LSTM stack over 300 sequences peaks at about 2.7 MB
+        when eval mode keeps no cache, and at about 12.1 MB when it keeps
+        every layer's buffers until the head has run; the bound lies
+        between the two."""
+        net = NetworkConfig(cell_kind="lstm", output_activation="sigmoid")
+        params = init_params(net, 0)
+        unseen = generate_dataset(SynthParams(num_sequences=300, seed=7))
+        norm = fit_normalization(unseen, "sigmoid")
+        tracemalloc.start()
+        try:
+            predict(params, net, norm, unseen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_unseen_set_of_289_sequences(self, trained):
         params, net, norm = trained
