@@ -66,6 +66,17 @@ def _check_outputs(outputs, data) -> None:
             raise UsageError(f"an output path is the --data file: {data}")
 
 
+def _check_out_entries(out, names) -> None:
+    """Raise UsageError naming --out for an entry of an existing --out
+    directory that this run would not write: a name not in names, or a
+    directory. So a rerun on the same dataset is accepted, and a run
+    leaves no file of another run beside its own. Nothing is created."""
+    for entry in sorted(os.listdir(out)) if os.path.isdir(out) else ():
+        if entry not in names or os.path.isdir(os.path.join(out, entry)):
+            raise UsageError(f"--out holds {entry!r}, which this run would "
+                             f"not write: {out}")
+
+
 def _write(path, save) -> None:
     """Write the file output at path whole: save(name) writes a new file
     beside path's resolved target, so a symlink keeps its link, and that
@@ -275,8 +286,9 @@ def _finite_predictions(model_path, params, net, norm, seqs) -> list:
 
 
 def _cmd_predict(args) -> int:
-    params, net, norm = load_checkpoint(args.model)
     seqs = _load_output_dataset(args.data)
+    _check_out_entries(args.out, {f"pred_{seq.id}.csv" for seq in seqs})
+    params, net, norm = load_checkpoint(args.model)
     curves = _finite_predictions(args.model, params, net, norm, seqs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,10 +299,12 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval_dtw(args) -> int:
-    params, net, norm = load_checkpoint(args.model)
     seqs = _load_output_dataset(args.data)
     if not seqs:
         raise ValueError(f"{args.data}: no sequences to score")
+    _check_out_entries(args.out, {"summary.csv",
+                                  *(f"align_{seq.id}.csv" for seq in seqs)})
+    params, net, norm = load_checkpoint(args.model)
     curves = _finite_predictions(args.model, params, net, norm, seqs)
     try:
         results = score_testset(zip(curves, (seq.weights for seq in seqs)),

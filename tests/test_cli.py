@@ -332,6 +332,35 @@ class TestPredictAndEval:
                                      for p in sorted(out.glob("*.csv"))))
         assert contents[0] == contents[1]
 
+    @pytest.mark.parametrize("command", ["predict", "eval-dtw"])
+    def test_rerun_into_its_own_out_is_byte_identical(self, command,
+                                                      model_file, data_file,
+                                                      tmp_path):
+        out = tmp_path / "out"
+        argv = [command, "--model", str(model_file), "--data", str(data_file),
+                "--out", str(out)]
+        assert run(argv) == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert run(argv) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
+    @pytest.mark.parametrize("command", ["predict", "eval-dtw"])
+    def test_run_on_fewer_sequences_into_a_used_out_refused(
+            self, command, model_file, data_file, tmp_path, capsys):
+        """The second run's ids are a subset of the first's, so the first
+        run's other files would stay beside the second's."""
+        fewer = tmp_path / "fewer.jsonl"
+        fewer.write_text("".join(data_file.read_text().splitlines(True)[:5]))
+        out = tmp_path / "out"
+        argv = [command, "--model", str(model_file), "--out", str(out)]
+        assert run([*argv, "--data", str(data_file)]) == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert run([*argv, "--data", str(fewer)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out holds ") and err.count("\n") == 1
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
     def test_eval_dtw_outputs(self, model_file, data_file, tmp_path):
         out = tmp_path / "dtw"
         code = run(["eval-dtw", "--model", str(model_file), "--data",
@@ -777,6 +806,16 @@ REFUSALS = {
     "eval-dtw out file": ("eval-dtw", "--out {w}/good.txt", 2, "--out"),
     "eval-dtw out under file": ("eval-dtw", "--out {w}/good.txt/out", 2,
                                 "--out"),
+    "predict out holds another dataset's file": (
+        "predict", "--out {w}/preds_old", 2, "error: --out holds 'pred_gone.csv'"),
+    "predict out holds a directory": (
+        "predict", "--out {w}/preds_dir", 2,
+        "error: --out holds 'pred_synth-00000.csv'"),
+    "eval-dtw out holds another dataset's file": (
+        "eval-dtw", "--out {w}/dtw_old", 2, "error: --out holds 'align_gone.csv'"),
+    "eval-dtw out holds a prediction": (
+        "eval-dtw", "--out {w}/preds_new", 2,
+        "error: --out holds 'pred_synth-00000.csv'"),
     "synth t-min above t-max": ("synth", "--t-min 30 --t-max 20", 2,
                                 "--t-min"),
     "train without cell": (None, "train --data {data} --epochs 1 --out-model "
@@ -790,6 +829,9 @@ REFUSALS = {
     "gradcheck unknown flag": ("gradcheck", "--bogus", 2, "--bogus"),
     "unknown command": (None, "transmogrify", 2, "transmogrify"),
 }
+# an --out entry is refused once the dataset's ids are known, so these
+# exit-2 rows read --data, and only --data
+READ_DATA = {case for case in REFUSALS if " out holds " in case}
 # every numeric flag: command, flag, parse, lower bound, strict bound
 RANGED = [("synth", "--n", int, 1, False), ("synth", "--seed", int, 0, False),
           ("synth", "--noise", float, 0, False),
@@ -818,6 +860,13 @@ def _work_dir(work: Path) -> Path:
     (work / "empty.jsonl").write_text("")
     (work / "dangling").symlink_to(work / "nowhere" / "x")
     (work / "loop").symlink_to(work / "loop")
+    # --out directories of an earlier run: ids not in {data}, a directory
+    # in place of a file, and predict's file where eval-dtw writes
+    for entry in ("preds_old/pred_gone.csv", "dtw_old/align_gone.csv",
+                  "dtw_old/summary.csv", "preds_new/pred_synth-00000.csv"):
+        (work / entry).parent.mkdir(exist_ok=True)
+        (work / entry).write_text("")
+    (work / "preds_dir" / "pred_synth-00000.csv").mkdir(parents=True)
     return work
 
 
@@ -845,12 +894,13 @@ def _out_of_range(parse, low, strict):
 
 class TestRefusalContract:
     @staticmethod
-    def _assert_refused(argv, work, code, named):
+    def _assert_refused(argv, work, code, named, read_data=False):
         """run(argv) exits `code` with one stderr line that starts
         "error: " and holds `named`, or starts with it when `named` starts
         "error: "; nothing appears under `work`, which
         holds every --out path that does not exist yet; gradcheck's
-        checks never run; and exit 2 reads no input file."""
+        checks never run; and exit 2 reads no input file, or only the
+        dataset when `read_data`."""
         before = sorted(work.rglob("*"))
         checks = []
         with contextlib.ExitStack() as stack:
@@ -872,7 +922,8 @@ class TestRefusalContract:
         assert sorted(work.rglob("*")) == before
         assert checks == []
         if code == 2:
-            assert not any(reader.called for reader in readers)
+            assert [reader.called for reader in readers] == [read_data, False,
+                                                             False]
 
     @pytest.mark.parametrize("case", list(REFUSALS))
     def test_refused(self, case, data_file, model_file, tmp_path):
@@ -881,7 +932,8 @@ class TestRefusalContract:
         names = {"w": work, "data": data_file, "model": model_file}
         argv = [token.format(**names)
                 for token in f"{BASE.get(command, '')} {flags}".split()]
-        self._assert_refused(argv, work, code, named.format(**names))
+        self._assert_refused(argv, work, code, named.format(**names),
+                             read_data=case in READ_DATA)
 
     @pytest.mark.parametrize("command, flag, parse, low, strict", RANGED,
                              ids=[f"{c} {f}" for c, f, *_ in RANGED])

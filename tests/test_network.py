@@ -16,8 +16,8 @@ from pournet.gradcheck import (check_network_gradients,
                                full_scale_gradient_errors, max_relative_error,
                                random_batch)
 from pournet.network import (CellKind, ForwardCache, NetworkConfig,
-                             NetworkParams, _HEADS, _gru_steps, _lstm_steps,
-                             _open_checkpoint,
+                             NetworkParams, _HEADS, _dropout_factors,
+                             _gru_steps, _lstm_steps, _open_checkpoint,
                              init_params, load_checkpoint, network_backward,
                              network_forward, numerical_gradient,
                              param_layout, save_checkpoint, sigmoid)
@@ -224,7 +224,7 @@ class TestLSTMCell:
         h_prev = np.random.default_rng(0).standard_normal((2, 4))
         h, c = _lstm_steps(np.zeros((4, 4, 4)), np.zeros((1, 4, 2, 4)),
                            h_prev, np.zeros((2, 4)), np.empty((1, 2, 4)),
-                           np.empty((1, 2, 4)), np.empty((1, 2, 4)))
+                           np.empty((1, 2, 4)))
         assert np.all(h == 0.0) and np.all(c == 0.0)
 
     def test_forget_open_input_shut_preserves_cell(self):
@@ -233,8 +233,7 @@ class TestLSTMCell:
         a[LSTM_F], a[LSTM_I] = 5.0, -5.0
         c_prev = rng.uniform(-1.0, 1.0, size=(5, 4))
         _, c = _lstm_steps(np.zeros((4, 4, 4)), a[None], np.zeros((5, 4)),
-                           c_prev, np.empty((1, 5, 4)), np.empty((1, 5, 4)),
-                           np.empty((1, 5, 4)))
+                           c_prev, np.empty((1, 5, 4)), np.empty((1, 5, 4)))
         assert np.max(np.abs(c - c_prev)) < 1e-4
 
     def test_gate_ranges(self):
@@ -371,13 +370,15 @@ class TestNetworkForward:
             assert act.shape == (7, gates, 2, hidden)
             assert act.flags.c_contiguous
             if cell == "lstm":
-                for key in ("c", "tc"):
-                    assert store[key].shape == (7, 2, hidden)
-                    assert store[key].flags.c_contiguous
+                assert store["c"].shape == (7, 2, hidden)
+                assert store["c"].flags.c_contiguous
             else:
-                assert "c" not in store and "tc" not in store
+                assert "c" not in store
 
-    def test_lstm_cache_keeps_tanh_of_cell_state(self):
+    def test_lstm_h_is_tanh_of_cell_slab_times_o(self):
+        """BPTT takes tanh of a layer's whole cached c slab, where the
+        forward took it one step's row at a time; every record's h is
+        still np.tanh(c) * o bit for bit, so the rebuilt tanh(c) is."""
         config = NetworkConfig(cell_kind="lstm", output_activation="tanh")
         params = init_params(config, 8)
         rng = np.random.default_rng(8)
@@ -386,7 +387,8 @@ class TestNetworkForward:
         _, cache = network_forward(params, config, batch, mode="train",
                                    rng=np.random.default_rng(1))
         for store in cache.layers:
-            assert np.array_equal(store["tc"], np.tanh(store["c"]))
+            o = store["act"][:, LSTM_O]
+            assert np.array_equal(store["h"], np.tanh(store["c"]) * o)
 
     def test_train_mode_deterministic_under_fixed_rng(self):
         config = self.small_config(rate=0.5)
@@ -448,7 +450,8 @@ class TestDropout:
         _, cache = network_forward(params, config, batch, mode="train",
                                    rng=np.random.default_rng(0))
         for record in cache.layers:
-            assert set(np.unique(record["mask"])) <= {0.0, 1.0 / 0.75}
+            factors = _dropout_factors(record["mask"], config.dropout_rate)
+            assert set(np.unique(factors)) <= {0.0, 1.0 / 0.75}
 
     def test_eval_has_no_masks(self):
         config = NetworkConfig(cell_kind="gru", layer_widths=(4,),
@@ -490,7 +493,9 @@ class TestDropout:
         for _ in range(draws):
             _, cache = network_forward(params, config, batch, mode="train",
                                        rng=rng)
-            total += cache.head_input
+            record = cache.layers[0]
+            total += record["h"] * _dropout_factors(record["mask"],
+                                                    config.dropout_rate)
         mean = total / draws
         # with rate 0.5 the mask has unit variance, so se = |h| / sqrt(n)
         se = np.abs(reference) / np.sqrt(draws)
@@ -565,6 +570,19 @@ class TestNetworkBackward:
             network_backward(lstm_params, other, cache,
                              np.zeros_like(batch.targets), batch.mask)
 
+    def test_eval_mode_cache_rejected(self):
+        """Eval mode returns no cache, and backward says it needs one from
+        a train-mode forward."""
+        config = NetworkConfig(cell_kind="gru", layer_widths=(4,),
+                               dropout_rate=0.0, dropout_after_layers=(),
+                               output_activation="linear", input_width=3)
+        params = init_params(config, 1)
+        batch = random_batch(np.random.default_rng(1), 4, 2, 3)
+        _, cache = network_forward(params, config, batch, mode="eval")
+        with pytest.raises(ValueError, match="cache of a train-mode forward"):
+            network_backward(params, config, cache,
+                             np.zeros_like(batch.targets), batch.mask)
+
     def test_layers_above_ignore_masked_units(self):
         """Layer-2 and head gradients read the post-dropout activations,
         so values hidden behind a zero mask cannot influence them."""
@@ -584,7 +602,7 @@ class TestNetworkBackward:
         bottom["h"][mask == 0.0] += 7.0
         tampered = ForwardCache(cell_kind=cache.cell_kind,
                                 layers=[bottom, cache.layers[1]],
-                                head_input=cache.head_input,
+                                inputs=cache.inputs,
                                 predictions=cache.predictions)
         grads2 = network_backward(params, config, tampered, dpred, batch.mask)
         assert trees_equal(grads.layers[1], grads2.layers[1])

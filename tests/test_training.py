@@ -36,18 +36,22 @@ def small_config(cell="gru", head="tanh", **kwargs):
     return TrainConfig(**defaults)
 
 
-@pytest.fixture(scope="module")
-def lstm_train_peak():
-    """tracemalloc peak in bytes of one epoch of the default LSTM-sigmoid
-    stack on 200 synthetic sequences."""
+def train_peak(cell, head):
+    """tracemalloc peak in bytes of one epoch of the default stack with
+    that cell and head on 200 synthetic sequences."""
     dataset = generate_dataset(SynthParams(num_sequences=200, seed=0))
-    net = NetworkConfig(cell_kind="lstm", output_activation="sigmoid")
+    net = NetworkConfig(cell_kind=cell, output_activation=head)
     tracemalloc.start()
     try:
         train(dataset, TrainConfig(network=net, epochs=1))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def lstm_train_peak():
+    return train_peak("lstm", "sigmoid")
 
 
 class TestTrain:
@@ -250,17 +254,28 @@ class TestTrain:
 
     def test_frees_each_batch_before_the_next_forward(self, lstm_train_peak):
         """The default LSTM stack on 200 sequences for one epoch peaks at
-        about 10.1 MB when each batch's forward cache and gradients are
-        freed before the next forward, and at about 15.0 MB when they
+        about 8.2 MB when each batch's forward cache and gradients are
+        freed before the next forward, and at about 12.2 MB when they
         stay alive through it; the bound lies between the two."""
         assert lstm_train_peak < 13.5e6, f"peak {lstm_train_peak / 1e6:.2f} MB"
 
     def test_validation_forward_keeps_no_cache(self, lstm_train_peak):
-        """The same run peaks at about 10.1 MB, in a training step, when the
-        eval-mode validation forward keeps no cache, and at about 12.2 MB,
-        in that forward, when it keeps every layer's; the bound lies
-        between the two."""
+        """The same run peaks at about 8.2 MB, in a training step, when the
+        eval-mode validation forward keeps no cache, and at about 10.8 MB
+        when it keeps every layer's; the bound lies between the two."""
         assert lstm_train_peak < 11e6, f"peak {lstm_train_peak / 1e6:.2f} MB"
+
+    def test_lstm_cache_keeps_nothing_bptt_rebuilds(self, lstm_train_peak):
+        """The same run peaks at about 8.2 MB when the training cache keeps
+        no tanh(c), float dropout mask or masked input, and at about
+        10.1 MB when it keeps them; the bound lies between the two."""
+        assert lstm_train_peak < 9.5e6, f"peak {lstm_train_peak / 1e6:.2f} MB"
+
+    def test_gru_cache_keeps_nothing_bptt_rebuilds(self):
+        """GRU-tanh on the same data peaks at about 6.4 MB, and at about
+        7.6 MB with float dropout masks and masked inputs in the cache."""
+        peak = train_peak("gru", "tanh")
+        assert peak < 7.2e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestTrainConfig:
